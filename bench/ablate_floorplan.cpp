@@ -41,7 +41,7 @@ struct SweepRow {
   std::string full;
 };
 
-void print_width_sweep(const flow::ObsSinks& io, int jobs) {
+void print_width_sweep(flow::ObsSinks& io, int jobs) {
   std::puts("=== region width sweep (XC2V2000, case-study memory) ===\n");
   const int widths[] = {2, 3, 4, 5, 6, 8, 12, 16, 24, 32};
 
@@ -80,7 +80,9 @@ void print_width_sweep(const flow::ObsSinks& io, int jobs) {
   t.print();
   std::puts("\n(reconfiguration time scales linearly with region width: partial");
   std::puts(" bitstreams are full-height column sets)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  io.tracer.append(sweep.trace);
+  io.metrics.merge(sweep.metrics);
+  io.write();
 }
 
 void print_bus_macro_sweep() {
@@ -182,7 +184,7 @@ BENCHMARK(BM_FloorplanValidation);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
+  flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
   const int jobs = flow::jobs_from_argv(argc, argv, 1);
   print_width_sweep(io, jobs);
   print_bus_macro_sweep();

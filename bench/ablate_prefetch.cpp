@@ -67,7 +67,7 @@ Accum run_policy(aaa::PrefetchChoice policy, Bytes cache, int seeds, flow::ObsSi
   return acc;
 }
 
-void print_policy_table(const flow::ObsSinks& io, int jobs) {
+void print_policy_table(flow::ObsSinks& io, int jobs) {
   const int seeds = 6;
   std::printf("=== prefetch policy ablation (%d fading traces x 30k symbols) ===\n\n", seeds);
   struct Row {
@@ -115,7 +115,9 @@ void print_policy_table(const flow::ObsSinks& io, int jobs) {
   std::puts(" the Markov predictor stages instantly after each switch, so with only");
   std::puts(" two modules it converts every later switch into a staged load; the");
   std::puts(" cache removes the external fetch for modules seen before)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  io.tracer.append(sweep.trace);
+  io.metrics.merge(sweep.metrics);
+  io.write();
 }
 
 void print_guard_sweep(int jobs) {
@@ -191,7 +193,7 @@ BENCHMARK(BM_SystemPrefetchOff)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
+  flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
   const int jobs = flow::jobs_from_argv(argc, argv, 1);
   mccdma::shared_case_study();  // warm the bundle before the thread pool
   print_policy_table(io, jobs);

@@ -52,7 +52,7 @@ fault::CampaignReport run_scrub_campaign(TimeNs period, double seu_rate_hz, Time
                              &sinks.tracer, &sinks.metrics);
 }
 
-void print_scrub_table(const flow::ObsSinks& io, int jobs) {
+void print_scrub_table(flow::ObsSinks& io, int jobs) {
   std::puts("=== scrub period vs. SEU exposure (Poisson SEUs at 50/s, 2 s run) ===");
   std::puts("(exaggerated upset rate so one run shows the trade-off)\n");
   const TimeNs horizon = 2_s;
@@ -84,7 +84,9 @@ void print_scrub_table(const flow::ObsSinks& io, int jobs) {
   t.print();
   std::puts("\n(faster scrubbing shortens the corruption window but eats the very");
   std::puts(" port the adaptive modulation needs for its reconfigurations)\n");
-  sweep.write_obs(io.trace_path, io.metrics_path);
+  io.tracer.append(sweep.trace);
+  io.metrics.merge(sweep.metrics);
+  io.write();
 }
 
 void print_verify_cost() {
@@ -144,7 +146,7 @@ BENCHMARK(BM_FaultCampaign)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
+  flow::ObsSinks io = flow::obs_sinks_from_argv(argc, argv);
   const int jobs = flow::jobs_from_argv(argc, argv, 1);
   mccdma::shared_case_study();  // warm the bundle before the thread pool
   print_scrub_table(io, jobs);

@@ -54,42 +54,6 @@ void AlgorithmGraph::add_dependency(const std::string& from, const std::string& 
   add_dependency(by_name(from), by_name(to), bytes);
 }
 
-std::vector<std::string> AlgorithmGraph::expand_repetition(const std::string& name, int count) {
-  PDR_CHECK(count >= 2, "AlgorithmGraph::expand_repetition", "repetition count must be >= 2");
-  const NodeId n = by_name(name);
-  const Operation op = g_[n];  // copy before removal
-  PDR_CHECK(op.cls == OpClass::Compute && !op.conditioned(),
-            "AlgorithmGraph::expand_repetition",
-            "only plain compute vertices can be repeated");
-
-  struct Link {
-    NodeId peer;
-    Bytes bytes;
-  };
-  std::vector<Link> inputs;
-  std::vector<Link> outputs;
-  for (graph::EdgeId e : g_.in_edges(n)) inputs.push_back({g_.edge_from(e), g_.edge(e).bytes});
-  for (graph::EdgeId e : g_.out_edges(n)) outputs.push_back({g_.edge_to(e), g_.edge(e).bytes});
-  g_.remove_node(n);
-  index_.erase(name);
-  validated_.clear();
-  ++version_;
-
-  std::vector<std::string> names;
-  const auto split = [count](Bytes b) {
-    return (b + static_cast<Bytes>(count) - 1) / static_cast<Bytes>(count);
-  };
-  for (int i = 0; i < count; ++i) {
-    Operation instance = op;
-    instance.name = name + "#" + std::to_string(i);
-    const NodeId id = add_operation(std::move(instance));
-    for (const Link& in : inputs) g_.add_edge(in.peer, id, DataDep{split(in.bytes)});
-    for (const Link& out : outputs) g_.add_edge(id, out.peer, DataDep{split(out.bytes)});
-    names.push_back(name + "#" + std::to_string(i));
-  }
-  return names;
-}
-
 NodeId AlgorithmGraph::by_name(const std::string& name) const {
   const auto n = find(name);
   PDR_CHECK(n.has_value(), "AlgorithmGraph::by_name", "no operation named '" + name + "'");

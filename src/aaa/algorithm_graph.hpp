@@ -73,13 +73,6 @@ class AlgorithmGraph {
   void add_dependency(NodeId from, NodeId to, Bytes bytes);
   void add_dependency(const std::string& from, const std::string& to, Bytes bytes);
 
-  /// SynDEx-style repeated vertex: replaces plain compute `name` by
-  /// `count` data-parallel instances "name#0".."name#<count-1>", rewiring
-  /// every dependency to each instance with the payload split evenly
-  /// (scatter on inputs, gather on outputs). The adequation can then
-  /// spread the instances across operators. Returns the instance names.
-  std::vector<std::string> expand_repetition(const std::string& name, int count);
-
   const Operation& op(NodeId n) const { return g_[n]; }
   NodeId by_name(const std::string& name) const;
   std::optional<NodeId> find(const std::string& name) const;

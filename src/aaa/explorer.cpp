@@ -1,6 +1,7 @@
 #include "aaa/explorer.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "util/strings.hpp"
@@ -60,11 +61,19 @@ ExplorationSpace ExplorationSpace::from_project(const Project& project) {
 }
 
 std::size_t ExplorationSpace::point_count() const {
-  std::size_t count = std::max<std::size_t>(strategies.size(), 1) *
-                      std::max<std::size_t>(prefetch.size(), 1);
-  for (const auto& [name, values] : preloads) count *= std::max<std::size_t>(values.size(), 1);
-  for (const auto& [name, values] : selections) count *= std::max<std::size_t>(values.size(), 1);
-  count *= std::max<std::size_t>(floorplans.size(), 1);
+  // Saturating product: 64 two-way axes would wrap a plain size_t to 0
+  // and slip under any max_points ceiling.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t count = 1;
+  const auto times = [&count](std::size_t axis) {
+    axis = std::max<std::size_t>(axis, 1);
+    count = count > kMax / axis ? kMax : count * axis;
+  };
+  times(strategies.size());
+  times(prefetch.size());
+  for (const auto& [name, values] : preloads) times(values.size());
+  for (const auto& [name, values] : selections) times(values.size());
+  times(floorplans.size());
   return count;
 }
 

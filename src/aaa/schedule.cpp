@@ -127,17 +127,6 @@ std::size_t Schedule::push_compute(util::SymbolId resource_sym, TimeNs tstart, T
   return i;
 }
 
-std::size_t Schedule::push_transfer(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
-                                    util::SymbolId src_sym, util::SymbolId dst_sym, Bytes nbytes,
-                                    graph::EdgeId e) {
-  const std::size_t i = push_row(ItemKind::Transfer, resource_sym, tstart, tend);
-  src_[i] = src_sym;
-  dst_[i] = dst_sym;
-  bytes_[i] = nbytes;
-  edge_[i] = e;
-  return i;
-}
-
 std::size_t Schedule::push_reconfig(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
                                     util::SymbolId module_sym, TimeNs stall) {
   const std::size_t i = push_row(ItemKind::Reconfig, resource_sym, tstart, tend);
@@ -363,13 +352,6 @@ std::vector<std::size_t> Schedule::on_resource(std::string_view resource) const 
   for (std::size_t i = 0; i < resource_.size(); ++i)
     if (resource_[i] == sym) out.push_back(i);
   return out;
-}
-
-double Schedule::utilization(std::string_view resource) const {
-  if (makespan <= 0) return 0.0;
-  const util::SymbolId sym = symbols.find(resource);
-  if (sym == util::kNoSymbol || sym >= resource_busy.size()) return 0.0;
-  return static_cast<double>(resource_busy[sym]) / static_cast<double>(makespan);
 }
 
 TimeNs Schedule::period_lower_bound() const {

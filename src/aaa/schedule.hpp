@@ -162,9 +162,6 @@ class Schedule {
   std::size_t push_compute(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
                            graph::NodeId node, util::SymbolId label_sym,
                            util::SymbolId variant_sym);
-  std::size_t push_transfer(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
-                            util::SymbolId src_sym, util::SymbolId dst_sym, Bytes nbytes,
-                            graph::EdgeId e);
   std::size_t push_reconfig(util::SymbolId resource_sym, TimeNs tstart, TimeNs tend,
                             util::SymbolId module_sym, TimeNs stall);
   /// Splices plan rows [begin..end) into the schedule, column by column.
@@ -200,9 +197,6 @@ class Schedule {
   /// (not pointers): rows move when columns grow or re-sort, so pointers
   /// into the SoA storage would dangle.
   std::vector<std::size_t> on_resource(std::string_view resource) const;
-
-  /// Fraction of the makespan `resource` is busy.
-  double utilization(std::string_view resource) const;
 
   /// Lower bound on the steady-state iteration period of the pipelined
   /// executive: the busiest single resource (no schedule can repeat

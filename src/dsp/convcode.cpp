@@ -103,85 +103,4 @@ std::vector<std::uint8_t> ConvolutionalCode::decode(std::span<const std::uint8_t
   return decoded;
 }
 
-std::vector<std::uint8_t> ConvolutionalCode::decode_soft(std::span<const double> llrs) const {
-  const std::size_t branch_bits = generators_.size();
-  PDR_CHECK(llrs.size() % branch_bits == 0, "ConvolutionalCode::decode_soft",
-            "LLR count is not a whole number of branches");
-  const std::size_t branches = llrs.size() / branch_bits;
-  PDR_CHECK(branches >= static_cast<std::size_t>(k_ - 1), "ConvolutionalCode::decode_soft",
-            "codeword shorter than the flush tail");
-
-  const int n_states = states();
-  constexpr double kInf = 1e300;
-  std::vector<double> metric(static_cast<std::size_t>(n_states), kInf);
-  metric[0] = 0;
-  std::vector<double> next_metric(static_cast<std::size_t>(n_states));
-  std::vector<std::vector<std::uint16_t>> survivors(
-      branches, std::vector<std::uint16_t>(static_cast<std::size_t>(n_states), 0));
-
-  for (std::size_t t = 0; t < branches; ++t) {
-    std::fill(next_metric.begin(), next_metric.end(), kInf);
-    for (int state = 0; state < n_states; ++state) {
-      if (metric[static_cast<std::size_t>(state)] >= kInf) continue;
-      for (int bit = 0; bit <= 1; ++bit) {
-        const std::uint32_t expect = branch_output(state, bit);
-        // Cost: positive LLR favours bit 0, so expecting a 1 against a
-        // positive LLR costs +llr (and vice versa).
-        double cost = 0;
-        for (std::size_t g = 0; g < branch_bits; ++g) {
-          const double llr = llrs[t * branch_bits + g];
-          const int expected_bit = static_cast<int>((expect >> (branch_bits - 1 - g)) & 1u);
-          cost += expected_bit ? llr : -llr;
-        }
-        const int next = ((bit << (k_ - 1)) | state) >> 1;
-        const double cand = metric[static_cast<std::size_t>(state)] + cost;
-        if (cand < next_metric[static_cast<std::size_t>(next)]) {
-          next_metric[static_cast<std::size_t>(next)] = cand;
-          survivors[t][static_cast<std::size_t>(next)] =
-              static_cast<std::uint16_t>((bit << 15) | state);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  std::vector<std::uint8_t> decoded(branches);
-  int state = 0;
-  for (std::size_t t = branches; t-- > 0;) {
-    const std::uint16_t s = survivors[t][static_cast<std::size_t>(state)];
-    decoded[t] = static_cast<std::uint8_t>((s >> 15) & 1);
-    state = s & 0x7fff;
-  }
-  decoded.resize(branches - static_cast<std::size_t>(k_ - 1));
-  return decoded;
-}
-
-std::vector<std::uint8_t> puncture(std::span<const std::uint8_t> coded,
-                                   std::span<const bool> pattern) {
-  PDR_CHECK(!pattern.empty(), "puncture", "empty pattern");
-  std::vector<std::uint8_t> out;
-  out.reserve(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i)
-    if (pattern[i % pattern.size()]) out.push_back(coded[i]);
-  return out;
-}
-
-std::vector<double> depuncture(std::span<const double> llrs, std::span<const bool> pattern,
-                               std::size_t coded_length) {
-  PDR_CHECK(!pattern.empty(), "depuncture", "empty pattern");
-  std::vector<double> out;
-  out.reserve(coded_length);
-  std::size_t consumed = 0;
-  for (std::size_t i = 0; i < coded_length; ++i) {
-    if (pattern[i % pattern.size()]) {
-      PDR_CHECK(consumed < llrs.size(), "depuncture", "too few LLRs for the pattern");
-      out.push_back(llrs[consumed++]);
-    } else {
-      out.push_back(0.0);  // erasure
-    }
-  }
-  PDR_CHECK(consumed == llrs.size(), "depuncture", "too many LLRs for the pattern");
-  return out;
-}
-
 }  // namespace pdr::dsp

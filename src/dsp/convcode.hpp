@@ -35,12 +35,6 @@ class ConvolutionalCode {
   /// length is not a whole number of branches or too short.
   std::vector<std::uint8_t> decode(std::span<const std::uint8_t> coded) const;
 
-  /// Soft-decision Viterbi decode from log-likelihood ratios, one per
-  /// coded bit, with the convention llr > 0 <=> bit 0 more likely. A zero
-  /// LLR is an erasure (used for punctured positions). Same framing rules
-  /// as decode().
-  std::vector<std::uint8_t> decode_soft(std::span<const double> llrs) const;
-
  private:
   /// Output bits of a branch from `state` with input `bit`.
   std::uint32_t branch_output(int state, int bit) const;
@@ -48,20 +42,5 @@ class ConvolutionalCode {
   int k_;
   std::vector<std::uint32_t> generators_;
 };
-
-/// Puncturing: raises the rate of a mother code by deleting coded bits in
-/// a repeating pattern (true = transmit). E.g. the standard rate-3/4
-/// pattern over a rate-1/2 mother code is {1,1,0,1,1,0}.
-std::vector<std::uint8_t> puncture(std::span<const std::uint8_t> coded,
-                                   std::span<const bool> pattern);
-
-/// Inverse for the soft path: re-inserts erasures (LLR 0) at punctured
-/// positions so decode_soft() sees the mother code's framing.
-/// `coded_length` is the unpunctured length.
-std::vector<double> depuncture(std::span<const double> llrs, std::span<const bool> pattern,
-                               std::size_t coded_length);
-
-/// The standard rate-3/4 pattern for a rate-1/2 mother code.
-inline const bool kRate34Pattern[6] = {true, true, false, true, true, false};
 
 }  // namespace pdr::dsp

@@ -50,15 +50,6 @@ void fft(std::vector<Cplx>& data) { transform(data, /*inverse=*/false); }
 
 void ifft(std::vector<Cplx>& data) { transform(data, /*inverse=*/true); }
 
-std::vector<Cplx> fft_copy(std::vector<Cplx> data) {
-  fft(data);
-  return data;
-}
-
-std::vector<Cplx> ifft_copy(std::vector<Cplx> data) {
-  ifft(data);
-  return data;
-}
 
 namespace {
 

@@ -20,10 +20,6 @@ void fft(std::vector<Cplx>& data);
 /// In-place inverse FFT including the 1/N normalization.
 void ifft(std::vector<Cplx>& data);
 
-/// Out-of-place convenience wrappers.
-std::vector<Cplx> fft_copy(std::vector<Cplx> data);
-std::vector<Cplx> ifft_copy(std::vector<Cplx> data);
-
 /// In-place fixed-point radix-2 transform over Q15 samples — the
 /// arithmetic an FPGA datapath actually performs. Every butterfly stage
 /// scales by 1/2 (unconditional block scaling), so overflow is

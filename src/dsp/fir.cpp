@@ -50,19 +50,4 @@ std::vector<double> fir_filter(std::span<const double> x, std::span<const double
   return y;
 }
 
-std::vector<double> magnitude_response(std::span<const double> taps, std::size_t n_points) {
-  PDR_CHECK(n_points >= 2, "magnitude_response", "need at least 2 points");
-  std::vector<double> mag(n_points);
-  for (std::size_t p = 0; p < n_points; ++p) {
-    const double f = 0.5 * static_cast<double>(p) / static_cast<double>(n_points - 1);
-    std::complex<double> h{0.0, 0.0};
-    for (std::size_t k = 0; k < taps.size(); ++k) {
-      const double ph = -2.0 * kPi * f * static_cast<double>(k);
-      h += taps[k] * std::complex<double>{std::cos(ph), std::sin(ph)};
-    }
-    mag[p] = std::abs(h);
-  }
-  return mag;
-}
-
 }  // namespace pdr::dsp

@@ -5,7 +5,6 @@
 // processing those modules perform.
 #pragma once
 
-#include <complex>
 #include <span>
 #include <vector>
 
@@ -23,9 +22,5 @@ std::vector<double> highpass_taps(std::size_t n_taps, double cutoff);
 /// Direct-form FIR filtering (zero initial state, output length equals
 /// input length; group delay (n_taps-1)/2 samples).
 std::vector<double> fir_filter(std::span<const double> x, std::span<const double> taps);
-
-/// Complex magnitude response of a tap set at `n_points` frequencies in
-/// [0, 0.5] (normalized).
-std::vector<double> magnitude_response(std::span<const double> taps, std::size_t n_points);
 
 }  // namespace pdr::dsp

@@ -18,18 +18,4 @@ std::vector<int> walsh_code(std::size_t length, std::size_t index) {
   return code;
 }
 
-std::vector<std::vector<int>> hadamard_matrix(std::size_t length) {
-  std::vector<std::vector<int>> m;
-  m.reserve(length);
-  for (std::size_t k = 0; k < length; ++k) m.push_back(walsh_code(length, k));
-  return m;
-}
-
-long walsh_dot(const std::vector<int>& a, const std::vector<int>& b) {
-  PDR_CHECK(a.size() == b.size(), "walsh_dot", "length mismatch");
-  long acc = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += static_cast<long>(a[i]) * b[i];
-  return acc;
-}
-
 }  // namespace pdr::dsp

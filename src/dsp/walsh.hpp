@@ -14,10 +14,4 @@ namespace pdr::dsp {
 /// `length` must be a power of two and `index < length`.
 std::vector<int> walsh_code(std::size_t length, std::size_t index);
 
-/// Returns the full Hadamard matrix of size `length`.
-std::vector<std::vector<int>> hadamard_matrix(std::size_t length);
-
-/// Inner product of two codes (0 iff orthogonal).
-long walsh_dot(const std::vector<int>& a, const std::vector<int>& b);
-
 }  // namespace pdr::dsp

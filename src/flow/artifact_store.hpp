@@ -79,9 +79,6 @@ class ArtifactStore {
   /// Cache-served requests for `stage` so far.
   std::uint64_t hits(const std::string& stage) const;
 
-  /// Stage names with any activity, sorted.
-  std::vector<std::string> stages() const;
-
   std::size_t size() const;
   void clear();
 

@@ -24,10 +24,7 @@ Fingerprint& Fingerprint::mix(std::span<const std::uint8_t> bytes) {
 }
 
 Fingerprint& Fingerprint::mix(const std::string& s) {
-  const std::uint64_t n = s.size();
-  mix_raw(&n, sizeof n);
-  mix_raw(s.data(), s.size());
-  return *this;
+  return mix(std::span(reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
 }
 
 Fingerprint& Fingerprint::mix(std::uint64_t v) {

@@ -23,11 +23,11 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 void ObsSinks::write() const {
   if (!trace_path.empty()) {
     tracer.write_chrome_json(trace_path);
-    std::printf("wrote trace with %zu events to %s\n", tracer.size(), trace_path.c_str());
+    std::printf("  wrote trace with %zu events to %s\n", tracer.size(), trace_path.c_str());
   }
   if (!metrics_path.empty()) {
     metrics.write_json(metrics_path);
-    std::printf("wrote %zu metrics to %s\n", metrics.names().size(), metrics_path.c_str());
+    std::printf("  wrote %zu metrics to %s\n", metrics.names().size(), metrics_path.c_str());
   }
 }
 
@@ -38,18 +38,6 @@ std::string SweepResult::combined_report() const {
     out += r.ok() ? r.report : "ERROR: " + r.error + "\n";
   }
   return out;
-}
-
-void SweepResult::write_obs(const std::string& trace_path,
-                            const std::string& metrics_path) const {
-  if (!trace_path.empty()) {
-    trace.write_chrome_json(trace_path);
-    std::printf("wrote trace with %zu events to %s\n", trace.size(), trace_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    metrics.write_json(metrics_path);
-    std::printf("wrote %zu metrics to %s\n", metrics.names().size(), metrics_path.c_str());
-  }
 }
 
 std::size_t SweepResult::failures() const {

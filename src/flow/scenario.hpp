@@ -27,8 +27,8 @@
 namespace pdr::flow {
 
 /// Per-scenario observability sinks, handed to the body. Also the shared
-/// --trace-out/--metrics-out plumbing for the bench/CLI binaries (the
-/// successor of the deleted bench/bench_obs.hpp).
+/// --trace-out/--metrics-out plumbing of the CLI and the bench binaries:
+/// a sweep's merged trace/metrics are appended into one and written once.
 struct ObsSinks {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
@@ -66,11 +66,6 @@ struct SweepResult {
   /// header — the sweep's canonical byte-comparable output.
   std::string combined_report() const;
   std::size_t failures() const;
-
-  /// Writes the merged trace/metrics to the given paths ("" = skip),
-  /// logging one line each — the post-sweep counterpart of
-  /// ObsSinks::write().
-  void write_obs(const std::string& trace_path, const std::string& metrics_path) const;
 };
 
 class ScenarioRunner {
@@ -88,7 +83,7 @@ class ScenarioRunner {
 };
 
 /// Parses (and strips from argv) --trace-out/--metrics-out into an
-/// ObsSinks, the pre-benchmark::Initialize idiom the ablations use.
+/// ObsSinks; call it before any other argument parsing.
 ObsSinks obs_sinks_from_argv(int& argc, char** argv);
 
 /// Parses (and strips) a --jobs N flag; `fallback` when absent.

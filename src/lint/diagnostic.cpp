@@ -67,8 +67,7 @@ void Report::add(Diagnostic diag) { diags_.push_back(std::move(diag)); }
 
 void Report::add(Rule rule, Severity severity, std::string where, std::string message,
                  std::string hint) {
-  diags_.push_back(
-      Diagnostic{rule, severity, std::move(where), std::move(message), std::move(hint)});
+  add(Diagnostic{rule, severity, std::move(where), std::move(message), std::move(hint)});
 }
 
 void Report::merge(Report other) {

@@ -89,9 +89,4 @@ Report check_project_text(const std::string& text) {
   return report;
 }
 
-Report check_text(const std::string& text) {
-  return sniff_input(text) == InputKind::Project ? check_project_text(text)
-                                                 : check_constraints_text(text);
-}
-
 }  // namespace pdr::lint

@@ -39,7 +39,4 @@ Report check_constraints_text(const std::string& text);
 /// options, schedule rules, executive generation, executive rules.
 Report check_project_text(const std::string& text);
 
-/// Sniffs the input kind and dispatches.
-Report check_text(const std::string& text);
-
 }  // namespace pdr::lint

@@ -72,7 +72,6 @@ std::vector<Cplx> MultipathChannel::frequency_response(std::size_t n_fft) const 
   return h;
 }
 
-void MultipathChannel::reset() { memory_.assign(memory_.size(), Cplx{0.0, 0.0}); }
 
 SnrTrace::SnrTrace(Config config, Rng rng)
     : config_(config), rng_(rng), snr_db_(config.initial_db) {
@@ -85,12 +84,6 @@ double SnrTrace::step() {
   snr_db_ += config_.reversion * (config_.mean_db - snr_db_) + config_.sigma_db * rng_.normal();
   snr_db_ = std::clamp(snr_db_, config_.lo_db, config_.hi_db);
   return snr_db_;
-}
-
-std::vector<double> SnrTrace::generate(std::size_t n) {
-  std::vector<double> out(n);
-  for (auto& v : out) v = step();
-  return out;
 }
 
 }  // namespace pdr::mccdma

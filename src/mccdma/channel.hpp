@@ -55,9 +55,6 @@ class MultipathChannel {
 
   const std::vector<Cplx>& taps() const { return taps_; }
 
-  /// Clears the inter-symbol memory.
-  void reset();
-
  private:
   std::vector<Cplx> taps_;
   std::vector<Cplx> memory_;  ///< last L-1 input samples
@@ -84,9 +81,6 @@ class SnrTrace {
 
   /// Advances one step and returns the new SNR.
   double step();
-
-  /// Generates n steps.
-  std::vector<double> generate(std::size_t n);
 
  private:
   Config config_;

@@ -39,11 +39,4 @@ std::vector<Cplx> ChannelEstimator::smooth(std::span<const Cplx> h, int half_win
   return out;
 }
 
-double ChannelEstimator::mse(std::span<const Cplx> a, std::span<const Cplx> b) {
-  PDR_CHECK(a.size() == b.size() && !a.empty(), "ChannelEstimator::mse", "size mismatch");
-  double acc = 0;
-  for (std::size_t k = 0; k < a.size(); ++k) acc += std::norm(a[k] - b[k]);
-  return acc / static_cast<double>(a.size());
-}
-
 }  // namespace pdr::mccdma

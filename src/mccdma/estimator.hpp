@@ -37,9 +37,6 @@ class ChannelEstimator {
   /// (wrapping); reduces noise on slowly varying channels.
   static std::vector<Cplx> smooth(std::span<const Cplx> h, int half_window);
 
-  /// Mean squared error between two responses (diagnostics/tests).
-  static double mse(std::span<const Cplx> a, std::span<const Cplx> b);
-
  private:
   McCdmaParams params_;
   std::vector<Cplx> pilot_chips_;

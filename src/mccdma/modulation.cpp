@@ -113,35 +113,6 @@ std::vector<std::uint8_t> Modulator::demap(std::span<const Cplx> symbols) const 
   return out;
 }
 
-void Modulator::demap_soft_symbol(Cplx symbol, double noise_var,
-                                  std::vector<double>& llrs_out) const {
-  PDR_CHECK(noise_var > 0, "Modulator::demap_soft_symbol", "noise variance must be positive");
-  const int k = bits_per_symbol();
-  const int points = 1 << k;
-  // Max-log: llr_b = (min_{x: bit b = 1} |y - x|^2 - min_{x: bit b = 0} |y - x|^2) / N0.
-  std::vector<double> best0(static_cast<std::size_t>(k), 1e300);
-  std::vector<double> best1(static_cast<std::size_t>(k), 1e300);
-  std::vector<std::uint8_t> bits(static_cast<std::size_t>(k));
-  for (int v = 0; v < points; ++v) {
-    for (int b = 0; b < k; ++b) bits[static_cast<std::size_t>(b)] = (v >> (k - 1 - b)) & 1;
-    const double d2 = std::norm(symbol - map_symbol(bits));
-    for (int b = 0; b < k; ++b) {
-      auto& best = bits[static_cast<std::size_t>(b)] ? best1 : best0;
-      if (d2 < best[static_cast<std::size_t>(b)]) best[static_cast<std::size_t>(b)] = d2;
-    }
-  }
-  for (int b = 0; b < k; ++b)
-    llrs_out.push_back((best1[static_cast<std::size_t>(b)] - best0[static_cast<std::size_t>(b)]) /
-                       noise_var);
-}
-
-std::vector<double> Modulator::demap_soft(std::span<const Cplx> symbols, double noise_var) const {
-  std::vector<double> out;
-  out.reserve(symbols.size() * static_cast<std::size_t>(bits_per_symbol()));
-  for (const Cplx& s : symbols) demap_soft_symbol(s, noise_var, out);
-  return out;
-}
-
 std::unique_ptr<Modulator> make_bpsk() { return std::make_unique<Bpsk>(); }
 std::unique_ptr<Modulator> make_qpsk() { return std::make_unique<SquareQam>("qpsk", 1); }
 std::unique_ptr<Modulator> make_qam16() { return std::make_unique<SquareQam>("qam16", 2); }

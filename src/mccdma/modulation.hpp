@@ -36,12 +36,6 @@ class Modulator {
   /// Hard-decision demap of a symbol sequence.
   std::vector<std::uint8_t> demap(std::span<const Cplx> symbols) const;
 
-  /// Max-log soft demap: per-bit log-likelihood ratios, convention
-  /// llr > 0 <=> bit 0 more likely. `noise_var` is E|n|^2 of the complex
-  /// noise on the symbol. Feeds dsp::ConvolutionalCode::decode_soft.
-  void demap_soft_symbol(Cplx symbol, double noise_var, std::vector<double>& llrs_out) const;
-  std::vector<double> demap_soft(std::span<const Cplx> symbols, double noise_var) const;
-
  protected:
   virtual Cplx map_symbol(std::span<const std::uint8_t> bits) const = 0;
 };

@@ -63,21 +63,4 @@ void Receiver::measure(std::span<const Cplx> samples,
   }
 }
 
-double Receiver::evm(std::span<const Cplx> samples) const {
-  const std::vector<Cplx> chips = equalized_chips(samples);
-  double err = 0.0;
-  double ref = 0.0;
-  std::vector<std::uint8_t> bits;
-  for (std::size_t u = 0; u < params_.n_users; ++u) {
-    for (const Cplx& s : spreader_.despread(chips, u)) {
-      bits.clear();
-      modulator_->demap_symbol(s, bits);
-      const std::vector<Cplx> ideal = modulator_->map(bits);
-      err += std::norm(s - ideal.front());
-      ref += std::norm(ideal.front());
-    }
-  }
-  return ref == 0.0 ? 0.0 : std::sqrt(err / ref);
-}
-
 }  // namespace pdr::mccdma

@@ -35,7 +35,7 @@ class Receiver {
   enum class Equalizer : std::uint8_t { Zf, Mmse };
 
   /// Installs a per-subcarrier channel frequency response; subsequent
-  /// receive()/measure()/evm() calls equalize before despreading. Pass an
+  /// receive()/measure() calls equalize before despreading. Pass an
   /// empty vector to clear. Zero bins are rejected for ZF (it cannot
   /// invert a spectral null); MMSE tolerates them.
   void set_channel_response(std::vector<Cplx> h, Equalizer mode = Equalizer::Zf,
@@ -47,10 +47,6 @@ class Receiver {
   /// Receives `samples` and accumulates errors vs `sent` into `report`.
   void measure(std::span<const Cplx> samples,
                const std::vector<std::vector<std::uint8_t>>& sent, BerReport& report) const;
-
-  /// Error-vector magnitude (RMS, relative) of the despread constellation
-  /// against its hard decisions.
-  double evm(std::span<const Cplx> samples) const;
 
  private:
   /// OFDM demod + optional ZF equalization.

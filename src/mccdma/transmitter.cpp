@@ -16,8 +16,6 @@ Transmitter::Transmitter(const McCdmaParams& params)
 
 void Transmitter::select_modulation(const std::string& name) { modulator_ = make_modulator(name); }
 
-const std::string& Transmitter::active_modulation() const { return modulator_->name(); }
-
 std::size_t Transmitter::bits_per_user_symbol() const {
   return params_.symbols_per_user() * static_cast<std::size_t>(modulator_->bits_per_symbol());
 }

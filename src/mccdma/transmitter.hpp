@@ -31,7 +31,6 @@ class Transmitter {
 
   /// Switches the active constellation mapper ("qpsk", "qam16", ...).
   void select_modulation(const std::string& name);
-  const std::string& active_modulation() const;
 
   /// Computes the IFFT in Q15 fixed point (the FPGA datapath's
   /// arithmetic) instead of double precision. Output samples are

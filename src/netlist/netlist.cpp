@@ -1,21 +1,8 @@
 #include "netlist/netlist.hpp"
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace pdr::netlist {
-
-const char* primitive_name(PrimitiveKind kind) {
-  switch (kind) {
-    case PrimitiveKind::Lut4: return "LUT4";
-    case PrimitiveKind::FlipFlop: return "FF";
-    case PrimitiveKind::Bram18: return "BRAM18";
-    case PrimitiveKind::Mult18: return "MULT18";
-    case PrimitiveKind::Tbuf: return "TBUF";
-    case PrimitiveKind::Iob: return "IOB";
-  }
-  return "?";
-}
 
 Netlist::Netlist(std::string name) : name_(std::move(name)) {
   PDR_CHECK(!name_.empty(), "Netlist", "module name must not be empty");
@@ -93,18 +80,6 @@ std::uint64_t Netlist::content_hash() const {
     mix(static_cast<std::uint64_t>(p.dir));
   }
   return h;
-}
-
-std::string Netlist::report() const {
-  std::string out = "module " + name_ + "\n";
-  for (const auto& p : ports_)
-    out += strprintf("  port %-16s %3d bits %s\n", p.name.c_str(), p.width,
-                     p.dir == PortDir::In ? "in" : "out");
-  for (const auto& [kind, n] : counts_)
-    out += strprintf("  %-8s x %d\n", primitive_name(kind), n);
-  for (const auto& [sub, times] : submodules_)
-    out += strprintf("  uses %s x %d\n", sub.c_str(), times);
-  return out;
 }
 
 }  // namespace pdr::netlist

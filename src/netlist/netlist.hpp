@@ -18,8 +18,6 @@ namespace pdr::netlist {
 
 enum class PrimitiveKind : std::uint8_t { Lut4, FlipFlop, Bram18, Mult18, Tbuf, Iob };
 
-const char* primitive_name(PrimitiveKind kind);
-
 enum class PortDir : std::uint8_t { In, Out };
 
 /// One named port of a module.
@@ -47,8 +45,8 @@ class Netlist {
   int count(PrimitiveKind kind) const;
 
   /// Adds `times` copies of `sub`'s primitives (ports are NOT inherited;
-  /// submodule connectivity is internal). Provenance is recorded for
-  /// report().
+  /// submodule connectivity is internal). Provenance is recorded in
+  /// submodules().
   Netlist& instantiate(const Netlist& sub, int times = 1);
 
   /// Sum of all primitive counts.
@@ -59,9 +57,6 @@ class Netlist {
   /// netlists yield different configuration data (and identical netlists
   /// yield identical bitstreams).
   std::uint64_t content_hash() const;
-
-  /// Multi-line human-readable resource report.
-  std::string report() const;
 
   const std::vector<std::pair<std::string, int>>& submodules() const { return submodules_; }
 

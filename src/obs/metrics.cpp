@@ -173,46 +173,12 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-std::string MetricsRegistry::to_text() const {
-  std::string out;
-  for (const auto& [name, e] : entries_) {
-    if (!e.help.empty()) out += strprintf("# HELP %s %s\n", name.c_str(), e.help.c_str());
-    if (e.counter) {
-      out += strprintf("# TYPE %s counter\n%s %g\n", name.c_str(), name.c_str(),
-                       e.counter->value());
-    } else if (e.gauge) {
-      out += strprintf("# TYPE %s gauge\n%s %g\n", name.c_str(), name.c_str(), e.gauge->value());
-    } else {
-      const Histogram& h = *e.histogram;
-      out += strprintf("# TYPE %s histogram\n", name.c_str());
-      std::uint64_t cumulative = 0;
-      for (std::size_t b = 0; b < h.bucket_counts().size(); ++b) {
-        cumulative += h.bucket_counts()[b];
-        if (b < h.bounds().size())
-          out += strprintf("%s_bucket{le=\"%g\"} %llu\n", name.c_str(), h.bounds()[b],
-                           static_cast<unsigned long long>(cumulative));
-        else
-          out += strprintf("%s_bucket{le=\"+Inf\"} %llu\n", name.c_str(),
-                           static_cast<unsigned long long>(cumulative));
-      }
-      out += strprintf("%s_sum %g\n%s_count %llu\n", name.c_str(), h.sum(), name.c_str(),
-                       static_cast<unsigned long long>(h.count()));
-    }
-  }
-  return out;
-}
-
 void MetricsRegistry::write_json(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   PDR_CHECK(out.good(), "MetricsRegistry::write_json", "cannot open '" + path + "'");
   const std::string json = to_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   PDR_CHECK(out.good(), "MetricsRegistry::write_json", "write to '" + path + "' failed");
-}
-
-MetricsRegistry& global_metrics() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace pdr::obs

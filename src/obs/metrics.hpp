@@ -111,9 +111,6 @@ class MetricsRegistry {
   /// {"name": {"type": ..., "value"/"count"/"sum"/...}, ...}
   std::string to_json() const;
 
-  /// Prometheus-exposition-flavoured text (one instrument per stanza).
-  std::string to_text() const;
-
   /// Writes to_json() to `path`; throws pdr::Error on I/O failure.
   void write_json(const std::string& path) const;
 
@@ -126,8 +123,5 @@ class MetricsRegistry {
   };
   std::map<std::string, Entry> entries_;
 };
-
-/// Process-wide default registry for call sites without an explicit one.
-MetricsRegistry& global_metrics();
 
 }  // namespace pdr::obs

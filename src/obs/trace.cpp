@@ -34,17 +34,6 @@ void Tracer::instant(std::string track, std::string name, std::string category, 
   events_.push_back(std::move(ev));
 }
 
-void Tracer::counter(std::string track, std::string name, TimeNs at, double value) {
-  TraceEvent ev;
-  ev.phase = TracePhase::Counter;
-  ev.track = std::move(track);
-  ev.name = std::move(name);
-  ev.category = "counter";
-  ev.ts = at;
-  ev.value = value;
-  events_.push_back(std::move(ev));
-}
-
 void Tracer::append(const Tracer& other, const std::string& track_prefix) {
   events_.reserve(events_.size() + other.events_.size());
   for (const TraceEvent& ev : other.events_) {
@@ -118,9 +107,7 @@ std::string Tracer::to_chrome_json() const {
                                   static_cast<char>(ev.phase), tid, to_us(ev.ts));
     if (ev.phase == TracePhase::Complete) piece += strprintf(",\"dur\":%.3f", to_us(ev.dur));
     if (ev.phase == TracePhase::Instant) piece += ",\"s\":\"t\"";
-    if (ev.phase == TracePhase::Counter) {
-      piece += strprintf(",\"args\":{\"value\":%g}", ev.value);
-    } else if (!ev.args.empty()) {
+    if (!ev.args.empty()) {
       piece += ",\"args\":{";
       for (std::size_t i = 0; i < ev.args.size(); ++i) {
         if (i > 0) piece += ',';
@@ -142,11 +129,6 @@ void Tracer::write_chrome_json(const std::string& path) const {
   const std::string json = to_chrome_json();
   out.write(json.data(), static_cast<std::streamsize>(json.size()));
   PDR_CHECK(out.good(), "Tracer::write_chrome_json", "write to '" + path + "' failed");
-}
-
-Tracer& global_tracer() {
-  static Tracer tracer;
-  return tracer;
 }
 
 }  // namespace pdr::obs

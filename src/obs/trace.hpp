@@ -29,8 +29,8 @@ struct TraceArg {
 };
 
 /// Chrome trace-event phases we emit. Complete spans carry a duration;
-/// instants mark a point; counters plot a value over time.
-enum class TracePhase : char { Complete = 'X', Instant = 'i', Counter = 'C' };
+/// instants mark a point.
+enum class TracePhase : char { Complete = 'X', Instant = 'i' };
 
 struct TraceEvent {
   TracePhase phase = TracePhase::Complete;
@@ -39,7 +39,6 @@ struct TraceEvent {
   std::string category;  ///< comma-free tag, filterable in the viewer
   TimeNs ts = 0;
   TimeNs dur = 0;        ///< Complete spans only
-  double value = 0.0;    ///< Counter events only
   std::vector<TraceArg> args;
 };
 
@@ -52,9 +51,6 @@ class Tracer {
   /// Records a point event.
   void instant(std::string track, std::string name, std::string category, TimeNs at,
                std::vector<TraceArg> args = {});
-
-  /// Records a sampled value (rendered as a step plot).
-  void counter(std::string track, std::string name, TimeNs at, double value);
 
   /// Appends every event of `other`, optionally namespacing its tracks
   /// under `track_prefix` ("scn0/" turns track "port" into "scn0/port").
@@ -88,8 +84,5 @@ class Tracer {
 
 /// Escapes a string for embedding in a JSON string literal.
 std::string json_escape(const std::string& s);
-
-/// Process-wide default tracer for call sites without an explicit one.
-Tracer& global_tracer();
 
 }  // namespace pdr::obs

@@ -45,14 +45,4 @@ void BitstreamCache::insert(const std::string& module, Bytes bytes) {
     metrics_->gauge("rtr.cache.used_bytes").set(static_cast<double>(used_));
 }
 
-void BitstreamCache::invalidate(const std::string& module) {
-  const auto it = sizes_.find(module);
-  if (it == sizes_.end()) return;
-  used_ -= it->second.second;
-  lru_.erase(it->second.first);
-  sizes_.erase(it);
-  if (metrics_ != nullptr)
-    metrics_->gauge("rtr.cache.used_bytes").set(static_cast<double>(used_));
-}
-
 }  // namespace pdr::rtr

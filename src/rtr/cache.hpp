@@ -30,9 +30,6 @@ class BitstreamCache {
   /// cached.
   void insert(const std::string& module, Bytes bytes);
 
-  /// Removes a module if present.
-  void invalidate(const std::string& module);
-
   /// Mirrors hit/miss/eviction counters and the occupancy gauge into
   /// `metrics` under "rtr.cache." (nullptr = off).
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }

@@ -38,35 +38,6 @@ TimeNs Timeline::total(SpanKind kind) const {
   return t;
 }
 
-std::string Timeline::gantt(int width) const {
-  if (spans_.empty() || horizon_ == 0) return "(empty timeline)\n";
-  std::vector<std::string> resources;
-  for (const auto& s : spans_)
-    if (std::find(resources.begin(), resources.end(), s.resource) == resources.end())
-      resources.push_back(s.resource);
-
-  std::string out;
-  for (const auto& res : resources) {
-    std::string bar(static_cast<std::size_t>(width), '.');
-    for (const auto& s : spans_) {
-      if (s.resource != res) continue;
-      auto pos = [&](TimeNs t) {
-        return std::min<std::size_t>(static_cast<std::size_t>(width) - 1,
-                                     static_cast<std::size_t>(t * width / horizon_));
-      };
-      const char mark = s.kind == SpanKind::Compute    ? '#'
-                        : s.kind == SpanKind::Transfer ? '='
-                        : s.kind == SpanKind::Reconfig ? 'R'
-                                                       : 'x';
-      for (std::size_t i = pos(s.start); i <= pos(s.end > 0 ? s.end - 1 : 0); ++i) bar[i] = mark;
-    }
-    out += strprintf("%-10s |%s|\n", res.c_str(), bar.c_str());
-  }
-  out += strprintf("%-10s  0%*s%.1f us   (#=compute ==transfer R=reconfig x=stall)\n", "",
-                   width - 10, "", to_us(horizon_));
-  return out;
-}
-
 std::string Timeline::to_svg(int width_px) const {
   PDR_CHECK(width_px >= 100, "Timeline::to_svg", "width too small");
   std::vector<std::string> resources;
@@ -123,15 +94,6 @@ std::string Timeline::to_svg(int width_px) const {
 void Timeline::export_to(obs::Tracer& tracer, const std::string& category_prefix) const {
   for (const auto& s : spans_)
     tracer.span(s.resource, s.label, category_prefix + span_kind_name(s.kind), s.start, s.end);
-}
-
-std::string Timeline::to_csv() const {
-  std::string out = "resource,label,kind,start_ns,end_ns\n";
-  for (const auto& s : spans_)
-    out += strprintf("%s,%s,%s,%lld,%lld\n", s.resource.c_str(), s.label.c_str(),
-                     span_kind_name(s.kind), static_cast<long long>(s.start),
-                     static_cast<long long>(s.end));
-  return out;
 }
 
 }  // namespace pdr::sim

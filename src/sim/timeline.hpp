@@ -38,12 +38,6 @@ class Timeline {
   /// Total time in spans of one kind.
   TimeNs total(SpanKind kind) const;
 
-  /// ASCII Gantt, one row per resource.
-  std::string gantt(int width = 72) const;
-
-  /// CSV dump: resource,label,kind,start_ns,end_ns.
-  std::string to_csv() const;
-
   /// Replays every span into `tracer` (track = resource, category =
   /// `category_prefix` + span kind name), merging this timeline into a
   /// process-wide Chrome trace.

@@ -232,17 +232,4 @@ std::vector<std::string> known_operator_kinds() {
           "custom"};
 }
 
-bool is_modulation_kind(const std::string& kind) {
-  return kind == "bpsk_mapper" || kind == "qpsk_mapper" || kind == "qam16_mapper" ||
-         kind == "qam64_mapper";
-}
-
-int modulation_bits_per_symbol(const std::string& kind) {
-  if (kind == "bpsk_mapper") return 1;
-  if (kind == "qpsk_mapper") return 2;
-  if (kind == "qam16_mapper") return 4;
-  if (kind == "qam64_mapper") return 6;
-  raise("modulation_bits_per_symbol", "'" + kind + "' is not a modulation kind");
-}
-
 }  // namespace pdr::synth

@@ -46,13 +46,6 @@ netlist::Netlist elaborate_operator(const std::string& kind, const Params& param
 /// All kinds elaborate_operator accepts (for tests and tools).
 std::vector<std::string> known_operator_kinds();
 
-/// True if `kind` names a modulation mapper (the dynamic-module family of
-/// the case study).
-bool is_modulation_kind(const std::string& kind);
-
-/// Bits per symbol of a modulation mapper kind (throws for other kinds).
-int modulation_bits_per_symbol(const std::string& kind);
-
 /// Wraps a dynamic-module datapath in the generic executive structure the
 /// VHDL generator emits around it (communication/computation sequencer
 /// FSMs, handshake registers, SRL-based I/O staging FIFOs). This is the

@@ -1,13 +1,12 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace pdr {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::Warn};
+constexpr LogLevel kMinLevel = LogLevel::Warn;
 std::mutex g_mutex;
 
 const char* level_name(LogLevel level) {
@@ -24,9 +23,7 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
+LogLevel log_level() { return kMinLevel; }
 
 void log_line(LogLevel level, const std::string& tag, const std::string& message) {
   if (level < log_level()) return;

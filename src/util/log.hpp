@@ -1,7 +1,6 @@
 // Minimal leveled logger.
 //
-// Logging is off (Warn) by default so tests and benchmarks stay quiet;
-// examples turn on Info to narrate the design flow.
+// Only Warn and above are emitted, so tests and benchmarks stay quiet.
 #pragma once
 
 #include <sstream>
@@ -11,11 +10,8 @@ namespace pdr {
 
 enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
 
-/// Returns the process-wide minimum level actually emitted.
+/// Returns the minimum level actually emitted.
 LogLevel log_level();
-
-/// Sets the process-wide minimum level.
-void set_log_level(LogLevel level);
 
 /// Emits one line at `level` with a "[level] tag: " prefix to stderr.
 void log_line(LogLevel level, const std::string& tag, const std::string& message);

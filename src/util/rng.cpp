@@ -59,6 +59,4 @@ double Rng::normal() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
 }
 
-Rng Rng::fork() { return Rng((*this)() ^ 0xa5a5a5a5deadbeefull); }
-
 }  // namespace pdr

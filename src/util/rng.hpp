@@ -43,9 +43,6 @@ class Rng {
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p) { return uniform01() < p; }
 
-  /// Forks an independent stream (distinct seed derived from this one).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };

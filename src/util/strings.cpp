@@ -6,14 +6,6 @@
 
 namespace pdr {
 
-std::string_view trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
 std::vector<std::string> split(std::string_view s, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -34,19 +26,6 @@ std::vector<std::string> split_ws(std::string_view s) {
     const std::size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += sep;
-    out += items[i];
   }
   return out;
 }

@@ -8,20 +8,11 @@
 
 namespace pdr {
 
-/// Removes leading and trailing ASCII whitespace.
-std::string_view trim(std::string_view s);
-
 /// Splits on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char sep);
 
 /// Splits on runs of ASCII whitespace, dropping empty fields.
 std::vector<std::string> split_ws(std::string_view s);
-
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
-
-/// Joins items with `sep`.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view s);

@@ -54,21 +54,6 @@ std::string Table::to_markdown() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  auto render = [](const std::vector<std::string>& cells) {
-    std::string line;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) line += ",";
-      const bool quote = cells[c].find(',') != std::string::npos;
-      line += quote ? "\"" + cells[c] + "\"" : cells[c];
-    }
-    return line + "\n";
-  };
-  std::string out = render(header_);
-  for (const auto& r : rows_) out += render(r);
-  return out;
-}
-
 void Table::print() const { std::cout << to_markdown(); }
 
 }  // namespace pdr

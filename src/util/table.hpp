@@ -35,9 +35,6 @@ class Table {
   /// Markdown-style rendering with aligned pipes.
   std::string to_markdown() const;
 
-  /// Comma-separated rendering (cells containing commas are quoted).
-  std::string to_csv() const;
-
   /// Prints markdown rendering to stdout.
   void print() const;
 

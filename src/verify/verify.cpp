@@ -402,9 +402,6 @@ Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmG
 }
 
 lint::Report deep_check_text(const std::string& text) {
-  if (lint::sniff_input(text) == lint::InputKind::Constraints)
-    return lint::check_constraints_text(text);
-
   aaa::Project project;
   try {
     project = aaa::parse_project(text);

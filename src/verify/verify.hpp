@@ -132,9 +132,9 @@ Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmG
                             const aaa::ArchitectureGraph& architecture,
                             const VerifyOptions& options = {});
 
-/// `pdrflow check --deep`: the plain lint families plus interval
-/// certification of the default-options schedule. Constraints files have
-/// no schedule, so deep and plain checks coincide for them.
+/// `pdrflow check --deep` on a project file: the plain lint families plus
+/// interval certification of the default-options schedule. Constraints
+/// files have no schedule; `check --deep` lints them as usual.
 lint::Report deep_check_text(const std::string& text);
 
 }  // namespace pdr::verify

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "aaa/adequation.hpp"
 #include "aaa/algorithm_graph.hpp"
 #include "aaa/architecture_graph.hpp"
 #include "aaa/durations.hpp"
@@ -82,135 +79,6 @@ TEST(AlgorithmGraph, ConditionedDuplicateAlternativeFailsValidation) {
   AlgorithmGraph g;
   g.add_conditioned("m", {{"a", "qpsk_mapper", {}}, {"a", "qam16_mapper", {}}});
   EXPECT_THROW(g.validate(), pdr::Error);
-}
-
-TEST(AlgorithmGraph, RepetitionExpandsWithSplitPayloads) {
-  AlgorithmGraph g;
-  g.add_sensor("in");
-  g.add_compute("work", "fir");
-  g.add_actuator("out");
-  g.add_dependency("in", "work", 100);
-  g.add_dependency("work", "out", 60);
-
-  const auto names = g.expand_repetition("work", 4);
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], "work#0");
-  EXPECT_FALSE(g.find("work").has_value());
-  EXPECT_EQ(g.size(), 6u);  // in + 4 instances + out
-  EXPECT_NO_THROW(g.validate());
-
-  // Each instance carries 1/4 of the payload (ceil).
-  const auto& dg = g.digraph();
-  const NodeId w0 = g.by_name("work#0");
-  ASSERT_EQ(dg.in_edges(w0).size(), 1u);
-  EXPECT_EQ(dg.edge(dg.in_edges(w0)[0]).bytes, 25u);
-  EXPECT_EQ(dg.edge(dg.out_edges(w0)[0]).bytes, 15u);
-  // The sensor fans out to all instances.
-  EXPECT_EQ(dg.out_edges(g.by_name("in")).size(), 4u);
-}
-
-TEST(AlgorithmGraph, RepetitionRejectsBadTargets) {
-  AlgorithmGraph g;
-  g.add_sensor("s");
-  g.add_compute("c", "fir");
-  g.add_conditioned("m", {{"a", "fir", {}}, {"b", "fir", {}}});
-  EXPECT_THROW(g.expand_repetition("s", 2), pdr::Error);  // sensor
-  EXPECT_THROW(g.expand_repetition("m", 2), pdr::Error);  // conditioned
-  EXPECT_THROW(g.expand_repetition("c", 1), pdr::Error);  // count < 2
-  EXPECT_THROW(g.expand_repetition("ghost", 2), pdr::Error);
-}
-
-TEST(AlgorithmGraph, RepetitionEnablesParallelSpeedup) {
-  // One heavy op vs 4 repeated instances on a platform with 2 CPUs: the
-  // adequation spreads instances and the makespan drops.
-  DurationTable t;
-  t.set("src", OperatorKind::Processor, 1'000);
-  t.set("heavy", OperatorKind::Processor, 40'000);
-
-  ArchitectureGraph arch;
-  arch.add_operator(OperatorNode{"CPU0", OperatorKind::Processor, 1.0, "", ""});
-  arch.add_operator(OperatorNode{"CPU1", OperatorKind::Processor, 1.0, "", ""});
-  arch.add_medium(MediumNode{"BUS", 1e9, 10});
-  arch.connect("CPU0", "BUS");
-  arch.connect("CPU1", "BUS");
-
-  AlgorithmGraph serial;
-  serial.add_operation({"s", "src", {}, OpClass::Sensor, {}});
-  serial.add_compute("heavy", "heavy");
-  serial.add_dependency("s", "heavy", 64);
-
-  AlgorithmGraph parallel = serial;
-  parallel.expand_repetition("heavy", 4);
-  // Repeated instances each process 1/4 of the data in 1/4 of the time.
-  DurationTable t4 = t;
-  t4.set("heavy", OperatorKind::Processor, 10'000);
-
-  const Schedule s1 = Adequation(serial, arch, t).run();
-  const Schedule s4 = Adequation(parallel, arch, t4).run();
-  validate_schedule(s4, parallel, arch);
-  EXPECT_LT(s4.makespan, s1.makespan);
-  // Both CPUs participate.
-  std::set<std::string> used;
-  for (const auto sym : s4.placement)
-    if (sym != util::kNoSymbol) used.insert(std::string(s4.name(sym)));
-  EXPECT_EQ(used.size(), 2u);
-}
-
-// The name->NodeId index is maintained by hand in lockstep with the
-// digraph (PR 6); every expand_repetition tombstones a node and registers
-// fresh instance names, which is exactly where a hand-kept index drifts.
-// Fuzz 20 seeded graphs through repeated expand cycles (instances are
-// themselves expandable) and assert by_name/find agree with a linear scan
-// of the live digraph after every mutation.
-TEST(AlgorithmGraph, RepetitionIndexStaysConsistentUnderFuzz) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL;
-    const auto rnd = [&state](std::uint64_t n) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      return state % n;
-    };
-
-    AlgorithmGraph g;
-    g.add_sensor("in");
-    std::vector<std::string> expandable;
-    std::string prev = "in";
-    const int chain = 2 + static_cast<int>(rnd(4));
-    for (int i = 0; i < chain; ++i) {
-      const std::string name = "c" + std::to_string(i);
-      g.add_compute(name, "fir");
-      g.add_dependency(prev, name, 64 + 8 * static_cast<Bytes>(i));
-      expandable.push_back(name);
-      prev = name;
-    }
-    g.add_actuator("out");
-    g.add_dependency(prev, "out", 64);
-
-    const auto check_index = [&g]() {
-      std::size_t live = 0;
-      g.digraph().for_each_live_node([&](graph::NodeId id, const Operation& op) {
-        ++live;
-        EXPECT_EQ(g.by_name(op.name), id) << op.name;
-        const auto found = g.find(op.name);
-        ASSERT_TRUE(found.has_value()) << op.name;
-        EXPECT_EQ(*found, id) << op.name;
-      });
-      EXPECT_EQ(g.size(), live);
-    };
-    check_index();
-
-    for (int round = 0; round < 6 && !expandable.empty(); ++round) {
-      const std::size_t pick = rnd(expandable.size());
-      const std::string victim = expandable[pick];
-      expandable.erase(expandable.begin() + static_cast<std::ptrdiff_t>(pick));
-      const auto instances = g.expand_repetition(victim, 2 + static_cast<int>(rnd(3)));
-      EXPECT_FALSE(g.find(victim).has_value()) << victim;
-      for (const auto& inst : instances) expandable.push_back(inst);
-      check_index();
-      EXPECT_NO_THROW(g.validate());
-    }
-  }
 }
 
 TEST(AlgorithmGraph, DotShowsConditionedVertices) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "aaa/constraints.hpp"
 #include "util/error.hpp"
 
@@ -144,6 +146,11 @@ struct BadCase {
   const char* label;
   const char* text;
 };
+
+// Print the label, not the raw struct bytes: gtest would otherwise dump the
+// two string-literal addresses, which ASLR moves on every run, into the
+// test name that ctest discovers.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
 
 class BadConstraintsTest : public ::testing::TestWithParam<BadCase> {};
 

@@ -266,6 +266,20 @@ TEST(DesignSpaceExplorer, RefusesOversizedSpace) {
   EXPECT_THROW(explorer.run(), pdr::Error);
 }
 
+TEST(DesignSpaceExplorer, RefusesSpaceWhoseSizeOverflowsSizeT) {
+  // 3 x 2 x 2^64 points: a wrapping product reads 0 and passes the
+  // ceiling, after which enumerate() exhausts memory.
+  aaa::ExplorationSpace space;
+  space.strategies = {aaa::MappingStrategy::SynDExList, aaa::MappingStrategy::RoundRobin,
+                      aaa::MappingStrategy::FirstFeasible};
+  space.prefetch = {true, false};
+  for (int i = 0; i < 64; ++i) space.selections.push_back({"op" + std::to_string(i), {"a", "b"}});
+  flow::ExplorerOptions options;
+  ASSERT_GT(space.point_count(), options.max_points);  // never enumerate on failure
+  const flow::DesignSpaceExplorer explorer(tiny_project(), space, options);
+  EXPECT_THROW(explorer.run(), pdr::Error);
+}
+
 TEST(DesignPoint, ToOptionsDropsEmptyPreloads) {
   aaa::DesignPoint point;
   point.preloaded["D1"] = "";

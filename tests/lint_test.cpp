@@ -33,8 +33,15 @@ std::string read_file(const std::filesystem::path& path) {
   return out.str();
 }
 
+// Checks a file as the kind its extension names, as `pdrflow check` does.
+Report check_file(const std::filesystem::path& path) {
+  const std::string text = read_file(path);
+  return path.extension() == ".project" ? check_project_text(text)
+                                        : check_constraints_text(text);
+}
+
 Report check_fixture(const std::string& name) {
-  return check_text(read_file(std::filesystem::path(PDR_FIXTURES_DIR) / name));
+  return check_file(std::filesystem::path(PDR_FIXTURES_DIR) / name);
 }
 
 // ---------------------------------------------------------------- examples
@@ -45,7 +52,7 @@ TEST(LintExamples, AllShippedExamplesAreClean) {
     const auto ext = entry.path().extension();
     if (ext != ".constraints" && ext != ".project") continue;
     ++seen;
-    const Report report = check_text(read_file(entry.path()));
+    const Report report = check_file(entry.path());
     EXPECT_TRUE(report.empty()) << entry.path() << ":\n" << report.to_text();
   }
   EXPECT_GE(seen, 2u) << "expected shipped .constraints/.project examples";
@@ -53,8 +60,7 @@ TEST(LintExamples, AllShippedExamplesAreClean) {
 
 TEST(LintExamples, CaseStudyConstraintsAreClean) {
   // The textual example stays lint-clean end to end, like `pdrflow simulate`.
-  const Report report =
-      check_text(read_file(std::filesystem::path(PDR_EXAMPLES_DIR) / "mccdma.constraints"));
+  const Report report = check_file(std::filesystem::path(PDR_EXAMPLES_DIR) / "mccdma.constraints");
   EXPECT_TRUE(report.empty()) << report.to_text();
 }
 
@@ -80,6 +86,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FixtureCase{"pdr000_parse_error.constraints", Rule::ParseError},
         FixtureCase{"pdr000_parse_error.project", Rule::ParseError},
+        FixtureCase{"pdr000_empty.project", Rule::ParseError},
+        FixtureCase{"pdr000_bad_first_line.project", Rule::ParseError},
         FixtureCase{"pdr001_duplicate_region.constraints", Rule::DuplicateRegion},
         FixtureCase{"pdr002_invalid_region_width.constraints", Rule::InvalidRegionWidth},
         FixtureCase{"pdr003_negative_region_margin.constraints", Rule::NegativeRegionMargin},

@@ -70,18 +70,6 @@ TEST(Netlist, HashSensitiveToPorts) {
   EXPECT_NE(a.content_hash(), b.content_hash());
 }
 
-TEST(Netlist, ReportMentionsEverything) {
-  Netlist n("mapper");
-  n.add_port("bits", 4, PortDir::In);
-  n.add(PrimitiveKind::Lut4, 7);
-  n.instantiate(Netlist("sub"), 2);
-  const std::string r = n.report();
-  EXPECT_NE(r.find("module mapper"), std::string::npos);
-  EXPECT_NE(r.find("bits"), std::string::npos);
-  EXPECT_NE(r.find("LUT4"), std::string::npos);
-  EXPECT_NE(r.find("uses sub x 2"), std::string::npos);
-}
-
 // --- library formulas ---------------------------------------------------------
 
 TEST(Library, Clog2) {

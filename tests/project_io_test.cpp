@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "aaa/adequation.hpp"
 #include "aaa/project_io.hpp"
 #include "util/error.hpp"
@@ -105,6 +107,11 @@ struct BadProject {
   const char* label;
   const char* text;
 };
+
+// Print the label, not the raw struct bytes: gtest would otherwise dump the
+// two string-literal addresses, which ASLR moves on every run, into the
+// test name that ctest discovers.
+void PrintTo(const BadProject& c, std::ostream* os) { *os << c.label; }
 
 class BadProjectTest : public ::testing::TestWithParam<BadProject> {};
 

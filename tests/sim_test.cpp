@@ -138,22 +138,6 @@ TEST(Timeline, RejectsNegativeSpans) {
   EXPECT_THROW(t.add("x", "bad", SpanKind::Compute, 10, 5), pdr::Error);
 }
 
-TEST(Timeline, GanttAndCsv) {
-  Timeline t;
-  t.add("F1", "a", SpanKind::Compute, 0, 10);
-  const std::string g = t.gantt(40);
-  EXPECT_NE(g.find("F1"), std::string::npos);
-  EXPECT_NE(g.find("#"), std::string::npos);
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("resource,label,kind,start_ns,end_ns"), std::string::npos);
-  EXPECT_NE(csv.find("F1,a,compute,0,10"), std::string::npos);
-}
-
-TEST(Timeline, EmptyGantt) {
-  Timeline t;
-  EXPECT_EQ(t.gantt(), "(empty timeline)\n");
-}
-
 TEST(Timeline, SvgRendersLanesAndSpans) {
   Timeline t;
   t.add("F1", "fft", SpanKind::Compute, 0, 1000);

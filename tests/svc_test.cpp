@@ -276,6 +276,32 @@ TEST(FleetServiceTest, CleanDrainCompletesEverything) {
   }
 }
 
+TEST(FleetServiceTest, DrainsByPriorityThenAdmissionOrder) {
+  // One device, one busy port: queued work drains highest priority first,
+  // then in admission order. The late priority-5 request overtakes both
+  // earlier ones; the two priority-0 requests keep their arrival order.
+  // Four distinct modules, so every queued request is a real load.
+  synth::ModularDesignFlow flow(fabric::xc2v2000());
+  flow.add_region("D1", {{"qpsk", "qpsk_mapper", {}},
+                         {"qam16", "qam16_mapper", {}},
+                         {"bpsk", "bpsk_mapper", {}},
+                         {"qam64", "qam64_mapper", {}}});
+  const synth::DesignBundle bundle = flow.run();
+  ServiceConfig config;
+  FleetService service(bundle, config);
+  const RequestLog log = parse_request_log(
+      "fleet devices 1\n"
+      "request at_us 0   device 0 region D1 module qam16 class demand\n"
+      "request at_us 100 device 0 region D1 module qpsk  class demand\n"
+      "request at_us 200 device 0 region D1 module bpsk  class demand\n"
+      "request at_us 300 device 0 region D1 module qam64 class demand priority 5\n");
+  const ServiceReport report = service.run(log);
+  ASSERT_EQ(report.completed, 4);
+  const auto& r = report.records;
+  EXPECT_LT(r[3].ready_at, r[1].ready_at);  // priority beats admission order
+  EXPECT_LT(r[1].ready_at, r[2].ready_at);  // FIFO among equal priorities
+}
+
 TEST(FleetServiceTest, WarmupBurstFetchesOncePerModule) {
   const auto bundle = test_bundle();
   ServiceConfig config;

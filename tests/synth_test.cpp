@@ -49,14 +49,6 @@ TEST(Elaborate, Qam16BiggerThanQpsk) {
   EXPECT_GT(qam64.slices, qam16.slices);
 }
 
-TEST(Elaborate, ModulationKindHelpers) {
-  EXPECT_TRUE(is_modulation_kind("qpsk_mapper"));
-  EXPECT_FALSE(is_modulation_kind("ifft"));
-  EXPECT_EQ(modulation_bits_per_symbol("qpsk_mapper"), 2);
-  EXPECT_EQ(modulation_bits_per_symbol("qam16_mapper"), 4);
-  EXPECT_THROW(modulation_bits_per_symbol("ifft"), pdr::Error);
-}
-
 TEST(Elaborate, CustomKindUsesParams) {
   const auto n = elaborate_operator("custom", {{"luts", 100}, {"ffs", 50}, {"brams", 2}});
   EXPECT_EQ(n.count(netlist::PrimitiveKind::Lut4), 100);

@@ -8,9 +8,11 @@
 //       Run the static design-rule checker (pdr::lint) and print the
 //       diagnostics; exits 1 if any error (or, with --werror, warning).
 //       --deep adds pdr::verify's interval-based hazard certification
-//       (the PDR1xx family) over the default schedule. A file whose
-//       first directive is `fleet` is checked as a service request log
-//       (the PDR12x family) against the case-study design.
+//       (the PDR1xx family) over the default schedule. The extension
+//       picks the file kind (.constraints, .project, .requests); other
+//       names are sniffed: a first directive `fleet` marks a service
+//       request log (the PDR12x family, checked against the case-study
+//       design), a project keyword a project file.
 //   pdrflow inspect <bitstream.bit> --device NAME
 //       Validate a bitstream and print its packet structure.
 //   pdrflow devices
@@ -42,9 +44,10 @@
 // sizes the sweep's thread pool. Sweep output is byte-identical whatever
 // N is — merging is deterministic and wall-clock goes to stderr only.
 //
-// `build`, `adequation`, `simulate` and `sweep` accept `--trace-out FILE`
-// (Chrome trace-event JSON, open in https://ui.perfetto.dev) and
-// `--metrics-out FILE` (metrics registry JSON dump).
+// `--trace-out FILE` (Chrome trace-event JSON, open in
+// https://ui.perfetto.dev) and `--metrics-out FILE` (metrics registry
+// JSON dump) are stripped the same way and accepted by every command.
+// Each command records into one flow::ObsSinks, written once it returns.
 //
 // Unknown commands and flags are hard errors: a typo like `--prefech`
 // aborts with the list of valid flags instead of being silently ignored.
@@ -112,7 +115,7 @@ int usage() {
       "                [--no-degraded]\n"
       "  pdrflow devices\n"
       "--jobs N (anywhere) sizes the sweep/explore thread pool; output is identical for any N\n"
-      "build/adequation/explore/simulate/sweep also accept --trace-out FILE --metrics-out FILE\n",
+      "--trace-out FILE --metrics-out FILE (anywhere) write the run's trace and metrics\n",
       stderr);
   return 2;
 }
@@ -133,20 +136,6 @@ void write_file(const std::filesystem::path& path, std::span<const std::uint8_t>
   std::ofstream out(path, std::ios::binary);
   out.write(reinterpret_cast<const char*>(data.data()), static_cast<std::streamsize>(data.size()));
   std::printf("  wrote %-40s (%s)\n", path.c_str(), human_bytes(data.size()).c_str());
-}
-
-/// Writes the tracer/metrics to the paths given by --trace-out /
-/// --metrics-out, if present.
-void write_observability(const ArgParser& args, const obs::Tracer& tracer,
-                         const obs::MetricsRegistry& metrics) {
-  if (const std::string* path = args.value("--trace-out")) {
-    tracer.write_chrome_json(*path);
-    std::printf("  wrote trace with %zu events to %s\n", tracer.size(), path->c_str());
-  }
-  if (const std::string* path = args.value("--metrics-out")) {
-    metrics.write_json(*path);
-    std::printf("  wrote %zu metrics to %s\n", metrics.names().size(), path->c_str());
-  }
 }
 
 /// Prints a lint report (if non-empty) and returns true when it should
@@ -205,17 +194,34 @@ lint::Report check_request_log_against_case_study(const std::string& text) {
   return svc::check_request_log_text(text, *bundle, manager);
 }
 
+enum class CheckKind : std::uint8_t { Constraints, Project, Requests };
+
+/// The extension decides the file kind, so a malformed file is reported
+/// as what it claims to be; only other names are sniffed from the text.
+CheckKind check_kind(const std::string& path, const std::string& text) {
+  const std::string ext = std::filesystem::path(path).extension().string();
+  if (ext == ".constraints") return CheckKind::Constraints;
+  if (ext == ".project") return CheckKind::Project;
+  if (ext == ".requests" || svc::looks_like_request_log(text)) return CheckKind::Requests;
+  return lint::sniff_input(text) == lint::InputKind::Project ? CheckKind::Project
+                                                             : CheckKind::Constraints;
+}
+
 int cmd_check(int argc, char** argv) {
   const ArgParser args("check", argc, argv,
                        {{"--json", false}, {"--werror", false}, {"--deep", false}}, 1);
   const std::string text = read_file(args.positional(0));
-  // Dispatch on input kind: request logs get the PDR12x service family;
-  // otherwise --deep adds pdr::verify's interval certification (the
-  // PDR1xx hazard family) on top of the plain rule families.
-  const lint::Report report = svc::looks_like_request_log(text)
-                                  ? check_request_log_against_case_study(text)
-                                  : (args.has("--deep") ? verify::deep_check_text(text)
-                                                        : lint::check_text(text));
+  // Request logs get the PDR12x service family; for project files --deep
+  // adds pdr::verify's interval certification (the PDR1xx hazard family)
+  // on top of the plain rule families. Constraints have no schedule.
+  lint::Report report;
+  switch (check_kind(args.positional(0), text)) {
+    case CheckKind::Constraints: report = lint::check_constraints_text(text); break;
+    case CheckKind::Project:
+      report = args.has("--deep") ? verify::deep_check_text(text) : lint::check_project_text(text);
+      break;
+    case CheckKind::Requests: report = check_request_log_against_case_study(text); break;
+  }
   if (args.has("--json")) {
     std::fputs(report.to_json().c_str(), stdout);
   } else if (report.empty()) {
@@ -227,13 +233,10 @@ int cmd_check(int argc, char** argv) {
   return failing ? 1 : 0;
 }
 
-int cmd_build(int argc, char** argv) {
-  const ArgParser args("build", argc, argv,
-                       {{"--out", true}, {"--trace-out", true}, {"--metrics-out", true}}, 1);
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
+int cmd_build(int argc, char** argv, flow::ObsSinks& sinks) {
+  const ArgParser args("build", argc, argv, {{"--out", true}}, 1);
   flow::Pipeline pipeline = mccdma::constraints_pipeline(read_file(args.positional(0)));
-  pipeline.set_observability(&tracer, &metrics);
+  pipeline.set_observability(&sinks.tracer, &sinks.metrics);
 
   // Cheap constraint rules run first so a broken file reports every
   // violation (not just the first) before the flow spends time on it.
@@ -261,7 +264,6 @@ int cmd_build(int argc, char** argv) {
   }
   t.print();
   write_file(out_dir / "initial_full.bit", bundle->initial_bitstream);
-  write_observability(args, tracer, metrics);
   return 0;
 }
 
@@ -329,13 +331,9 @@ int cmd_latency(int argc, char** argv) {
   return 0;
 }
 
-int cmd_adequation(int argc, char** argv) {
+int cmd_adequation(int argc, char** argv, flow::ObsSinks& sinks) {
   const ArgParser args("adequation", argc, argv,
-                       {{"--no-prefetch", false},
-                        {"--reconfig-ms", true},
-                        {"--trace-out", true},
-                        {"--metrics-out", true}},
-                       1);
+                       {{"--no-prefetch", false}, {"--reconfig-ms", true}}, 1);
   flow::PipelineOptions options;
   options.project_text = read_file(args.positional(0));
   options.reconfig_cost = static_cast<TimeNs>(args.double_or("--reconfig-ms", 4.0) * 1e6);
@@ -358,14 +356,11 @@ int cmd_adequation(int argc, char** argv) {
   std::puts("\nsynchronized executive:");
   std::fputs(adeq->executive.to_string().c_str(), stdout);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  aaa::export_schedule(adeq->schedule, tracer);
-  metrics.counter("adequation.reconfigs").add(adeq->schedule.reconfig_count);
-  metrics.gauge("adequation.makespan_ns").set(static_cast<double>(adeq->schedule.makespan));
-  metrics.gauge("adequation.reconfig_exposed_ns")
+  aaa::export_schedule(adeq->schedule, sinks.tracer);
+  sinks.metrics.counter("adequation.reconfigs").add(adeq->schedule.reconfig_count);
+  sinks.metrics.gauge("adequation.makespan_ns").set(static_cast<double>(adeq->schedule.makespan));
+  sinks.metrics.gauge("adequation.reconfig_exposed_ns")
       .set(static_cast<double>(adeq->schedule.reconfig_exposed));
-  write_observability(args, tracer, metrics);
   return 0;
 }
 
@@ -373,7 +368,7 @@ int cmd_adequation(int argc, char** argv) {
 /// print the Pareto front on (makespan, reconfiguration exposure). The
 /// per-point bodies run on the ScenarioRunner pool; stdout is
 /// byte-identical for any --jobs value.
-int cmd_explore(int argc, char** argv, int jobs) {
+int cmd_explore(int argc, char** argv, int jobs, flow::ObsSinks& sinks) {
   const ArgParser args("explore", argc, argv,
                        {{"--top", true},
                         {"--reconfig-ms", true},
@@ -381,9 +376,7 @@ int cmd_explore(int argc, char** argv, int jobs) {
                         {"--no-verify", false},
                         {"--floorplan", false},
                         {"--floorplan-candidates", true},
-                        {"--seed", true},
-                        {"--trace-out", true},
-                        {"--metrics-out", true}},
+                        {"--seed", true}},
                        1);
   flow::PipelineOptions options;
   options.project_text = read_file(args.positional(0));
@@ -417,7 +410,8 @@ int cmd_explore(int argc, char** argv, int jobs) {
   std::fprintf(stderr, "explore: %zu points, jobs=%d, %.0f ms wall, %zu pruned, %zu failed\n",
                report.points.size(), jobs, report.sweep.wall_ms, report.pruned_points(),
                report.failed_points());
-  write_observability(args, report.sweep.trace, report.sweep.metrics);
+  sinks.tracer.append(report.sweep.trace);
+  sinks.metrics.merge(report.sweep.metrics);
   // Infeasible points are expected (the space is exhaustive); an empty
   // front means nothing scheduled at all — that is the failure.
   return report.pareto.empty() ? 1 : 0;
@@ -504,23 +498,20 @@ flow::FaultCampaignOptions fault_options_from(const ArgParser& args) {
 /// `simulate --faults`: a seeded fault-injection campaign on the case
 /// study's design bundle instead of the symbol-level transmitter run.
 /// The printed report is bit-identical for the same (spec, seed) pair.
-int simulate_faults(const ArgParser& args) {
+int simulate_faults(const ArgParser& args, flow::ObsSinks& sinks) {
   const flow::FaultCampaignOptions opts = fault_options_from(args);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
   flow::Pipeline pipeline = mccdma::constraints_pipeline(mccdma::case_study_constraints_text(),
                                                          mccdma::case_study_statics());
-  pipeline.set_observability(&tracer, &metrics);
+  pipeline.set_observability(&sinks.tracer, &sinks.metrics);
   const std::shared_ptr<const fault::CampaignReport> report =
       pipeline.fault_campaign(read_file(*args.value("--faults")), opts);
   std::fputs(report->to_string().c_str(), stdout);
-  write_observability(args, tracer, metrics);
   // With recovery on, any region left unhealthy is a failed campaign.
   return opts.recovery && !report->all_healthy() ? 1 : 0;
 }
 
-int cmd_simulate(int argc, char** argv) {
+int cmd_simulate(int argc, char** argv, flow::ObsSinks& sinks) {
   const ArgParser args("simulate", argc, argv,
                        {{"--symbols", true},
                         {"--seed", true},
@@ -529,11 +520,9 @@ int cmd_simulate(int argc, char** argv) {
                         {"--scrub-ms", true},
                         {"--scrub-mode", true},
                         {"--faults", true},
-                        {"--no-recovery", false},
-                        {"--trace-out", true},
-                        {"--metrics-out", true}},
+                        {"--no-recovery", false}},
                        0);
-  if (args.has("--faults")) return simulate_faults(args);
+  if (args.has("--faults")) return simulate_faults(args, sinks);
   if (args.has("--no-recovery") || args.has("--scrub-mode"))
     fail("flags '--no-recovery' and '--scrub-mode' require '--faults <spec-file>'");
   const std::size_t n_symbols = static_cast<std::size_t>(args.uint_or("--symbols", 4096));
@@ -553,16 +542,12 @@ int cmd_simulate(int argc, char** argv) {
   if (const std::string* prefetch = args.value("--prefetch"))
     config.prefetch = parse_prefetch_flag(*prefetch);
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  config.tracer = &tracer;
-  config.metrics = &metrics;
+  config.tracer = &sinks.tracer;
+  config.metrics = &sinks.metrics;
 
   mccdma::TransmitterSystem system(mccdma::shared_case_study(), config);
   const mccdma::SystemReport report = system.run(n_symbols);
   std::fputs(mccdma::format_system_report(report, config).c_str(), stdout);
-
-  write_observability(args, tracer, metrics);
   return 0;
 }
 
@@ -570,7 +555,7 @@ int cmd_simulate(int argc, char** argv) {
 /// Default: prefetch {none,schedule,history} × seeds {42,43,44} — nine
 /// transmitter runs. With --faults, one campaign per seed instead.
 /// stdout (the combined report) is byte-identical for any --jobs value.
-int cmd_sweep(int argc, char** argv, int jobs) {
+int cmd_sweep(int argc, char** argv, int jobs, flow::ObsSinks& sinks) {
   const ArgParser args("sweep", argc, argv,
                        {{"--symbols", true},
                         {"--seeds", true},
@@ -579,9 +564,7 @@ int cmd_sweep(int argc, char** argv, int jobs) {
                         {"--no-recovery", false},
                         {"--scrub-ms", true},
                         {"--scrub-mode", true},
-                        {"--cache", true},
-                        {"--trace-out", true},
-                        {"--metrics-out", true}},
+                        {"--cache", true}},
                        0);
   std::vector<std::uint64_t> seeds;
   for (const std::string& s : args.list_or("--seeds", {"42", "43", "44"}))
@@ -625,14 +608,15 @@ int cmd_sweep(int argc, char** argv, int jobs) {
   std::fputs(sweep.combined_report().c_str(), stdout);
   std::fprintf(stderr, "sweep: %zu scenarios, jobs=%d, %.0f ms wall, %zu failed\n",
                sweep.results.size(), runner.jobs(), sweep.wall_ms, sweep.failures());
-  write_observability(args, sweep.trace, sweep.metrics);
+  sinks.tracer.append(sweep.trace);
+  sinks.metrics.merge(sweep.metrics);
   return sweep.failures() == 0 ? 0 : 1;
 }
 
 /// `serve`: drain a recorded request log through the fleet service.
 /// stdout (the service report) is byte-identical for any --jobs value —
 /// the determinism CI pins with a byte diff.
-int cmd_serve(int argc, char** argv, int jobs) {
+int cmd_serve(int argc, char** argv, int jobs, flow::ObsSinks& sinks) {
   const ArgParser args("serve", argc, argv,
                        {{"--requests", true},
                         {"--devices", true},
@@ -642,9 +626,7 @@ int cmd_serve(int argc, char** argv, int jobs) {
                         {"--faults", true},
                         {"--seed", true},
                         {"--no-recovery", false},
-                        {"--no-degraded", false},
-                        {"--trace-out", true},
-                        {"--metrics-out", true}},
+                        {"--no-degraded", false}},
                        0);
   const std::string* requests_path = args.value("--requests");
   if (requests_path == nullptr) fail("'serve' requires --requests <log-file>");
@@ -684,41 +666,49 @@ int cmd_serve(int argc, char** argv, int jobs) {
     if (report_blocks(svc::check_request_log(log, *bundle, lint_manager), "request log")) return 1;
   }
 
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
   svc::FleetService service(*bundle, config);
-  service.set_observability(&tracer, &metrics);
+  service.set_observability(&sinks.tracer, &sinks.metrics);
   if (const std::string* spec_path = args.value("--faults"))
     service.arm_faults(fault::parse_fault_spec(read_file(*spec_path)));
   const svc::ServiceReport report = service.run(log);
   std::fputs(report.to_string().c_str(), stdout);
   std::fprintf(stderr, "serve: %zu requests on %d device(s), jobs=%d\n", report.records.size(),
                report.devices, jobs);
-  write_observability(args, tracer, metrics);
   // A clean drain exits 0. Under an armed fault campaign, failures are
   // the point of the exercise, not a broken run.
   return (args.has("--faults") || report.failed == 0) ? 0 : 1;
+}
+
+/// Runs one command, recording into `sinks`; -1 = unknown command.
+int dispatch(const std::string& cmd, int argc, char** argv, int jobs, flow::ObsSinks& sinks) {
+  if (cmd == "devices") return cmd_devices(argc, argv);
+  if (cmd == "build") return cmd_build(argc, argv, sinks);
+  if (cmd == "check") return cmd_check(argc, argv);
+  if (cmd == "inspect") return cmd_inspect(argc, argv);
+  if (cmd == "latency") return cmd_latency(argc, argv);
+  if (cmd == "adequation") return cmd_adequation(argc, argv, sinks);
+  if (cmd == "explore") return cmd_explore(argc, argv, jobs, sinks);
+  if (cmd == "floorplan") return cmd_floorplan(argc, argv);
+  if (cmd == "simulate") return cmd_simulate(argc, argv, sinks);
+  if (cmd == "sweep") return cmd_sweep(argc, argv, jobs, sinks);
+  if (cmd == "serve") return cmd_serve(argc, argv, jobs, sinks);
+  return -1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    // Global flag, stripped before command dispatch.
+    // Global flags, stripped before command dispatch.
+    flow::ObsSinks sinks = flow::obs_sinks_from_argv(argc, argv);
     const int jobs = flow::jobs_from_argv(argc, argv, 1);
     if (argc < 2) return usage();
     const std::string cmd = argv[1];
-    if (cmd == "devices") return cmd_devices(argc - 2, argv + 2);
-    if (cmd == "build") return cmd_build(argc - 2, argv + 2);
-    if (cmd == "check") return cmd_check(argc - 2, argv + 2);
-    if (cmd == "inspect") return cmd_inspect(argc - 2, argv + 2);
-    if (cmd == "latency") return cmd_latency(argc - 2, argv + 2);
-    if (cmd == "adequation") return cmd_adequation(argc - 2, argv + 2);
-    if (cmd == "explore") return cmd_explore(argc - 2, argv + 2, jobs);
-    if (cmd == "floorplan") return cmd_floorplan(argc - 2, argv + 2);
-    if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
-    if (cmd == "sweep") return cmd_sweep(argc - 2, argv + 2, jobs);
-    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2, jobs);
+    const int status = dispatch(cmd, argc - 2, argv + 2, jobs, sinks);
+    if (status >= 0) {
+      sinks.write();
+      return status;
+    }
     std::fprintf(stderr, "pdrflow: unknown command '%s'\n", cmd.c_str());
   } catch (const pdr::Error& e) {
     std::fprintf(stderr, "pdrflow: %s\n", e.what());
