@@ -55,7 +55,7 @@ void validate_schedule(const Schedule& schedule, const AlgorithmGraph& algorithm
   const auto edge_ids = g.edge_ids();
   const std::size_t edge_cap = edge_ids.empty() ? 0 : edge_ids.back() + 1;
   constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> compute_of(g.node_capacity(), kNoItem);
+  std::vector<std::size_t> compute_of(g.node_count(), kNoItem);
   std::vector<std::vector<std::size_t>> chain_of_edge(edge_cap);
   std::vector<std::size_t> untagged_transfers;  // hand-built items without edge ids
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -252,7 +252,7 @@ Schedule Adequation::run(const AdequationOptions& options) const {
   }
 
   // --- per-run index tables, resolved once --------------------------------
-  const std::size_t algo_cap = g.node_capacity();
+  const std::size_t algo_cap = g.node_count();
   const std::vector<NodeId> all_operators = architecture_.operators();
   const std::vector<NodeId> all_media = architecture_.media();
   std::size_t arch_cap = 0;
@@ -328,10 +328,10 @@ Schedule Adequation::run(const AdequationOptions& options) const {
   for (NodeId w : all_operators) op_ptr[w] = &architecture_.op(w);
 
   // Algorithm operations resolved to plain pointers once via a sequential
-  // node scan, so the per-placement lookup skips the bounds/liveness check
+  // node scan, so the per-placement lookup skips the bounds check
   // a million operator[] calls would repeat.
   std::vector<const Operation*> algo_op(algo_cap, nullptr);
-  g.for_each_live_node([&](graph::NodeId an, const Operation& aop) { algo_op[an] = &aop; });
+  g.for_each_node([&](graph::NodeId an, const Operation& aop) { algo_op[an] = &aop; });
 
   // Per-kind tables, built once per distinct kind: durations on every
   // operator (kUnsupported marks operators the kind cannot execute on)
@@ -409,12 +409,12 @@ Schedule Adequation::run(const AdequationOptions& options) const {
   // for_each_in_edge produces.
   if (cache_.in_off.empty()) {
     cache_.in_off.assign(algo_cap + 1, 0);
-    g.for_each_live_edge(
+    g.for_each_edge(
         [&](graph::EdgeId, graph::NodeId, graph::NodeId to) { ++cache_.in_off[to + 1]; });
     for (std::size_t i = 0; i < algo_cap; ++i) cache_.in_off[i + 1] += cache_.in_off[i];
     cache_.in_rows.resize(cache_.in_off[algo_cap]);
     std::vector<std::size_t> cursor(cache_.in_off.begin(), cache_.in_off.end() - 1);
-    g.for_each_live_edge([&](graph::EdgeId e, graph::NodeId from, graph::NodeId to) {
+    g.for_each_edge([&](graph::EdgeId e, graph::NodeId from, graph::NodeId to) {
       cache_.in_rows[cursor[to]++] = {from, g.edge(e).bytes, e};
     });
   }

@@ -90,8 +90,6 @@ struct AdequationOptions {
   std::map<std::string, std::string> selection;
   /// Modules assumed pre-loaded per region at t=0 ("" = region empty).
   std::map<std::string, std::string> preloaded;
-  /// Name of the configuration-port pseudo resource.
-  std::string config_port_name = "CFGPORT";
 };
 
 class Adequation {

@@ -121,3 +121,7 @@ std::string AlgorithmGraph::to_dot() const {
 }
 
 }  // namespace pdr::aaa
+
+// Emits every member of the graph template into this library, so that
+// tools/check_reachable.py sees the members no shipped binary calls.
+template class pdr::graph::Digraph<pdr::aaa::Operation, pdr::aaa::DataDep>;

@@ -104,7 +104,6 @@ class ArchitectureGraph {
 
   std::string to_dot() const;
 
-  std::size_t size() const { return g_.node_count(); }
 
  private:
   graph::Digraph<ArchVertex, ArchLink> g_;

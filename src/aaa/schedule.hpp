@@ -128,11 +128,8 @@ class Schedule {
   Bytes bytes(std::size_t i) const { return bytes_[i]; }
   TimeNs exposed_stall(std::size_t i) const { return exposed_stall_[i]; }
   util::SymbolId resource_sym(std::size_t i) const { return resource_[i]; }
-  util::SymbolId label_sym(std::size_t i) const { return label_[i]; }
   util::SymbolId variant_sym(std::size_t i) const { return variant_[i]; }
   util::SymbolId module_sym(std::size_t i) const { return module_[i]; }
-  util::SymbolId src_sym(std::size_t i) const { return src_[i]; }
-  util::SymbolId dst_sym(std::size_t i) const { return dst_[i]; }
 
   /// Name behind a symbol ("" for util::kNoSymbol).
   std::string_view name(util::SymbolId sym) const;
@@ -178,11 +175,8 @@ class Schedule {
   /// Targeted mutation for schedule-surgery tests (hazard corpora).
   void set_start(std::size_t i, TimeNs t) { start_[i] = t; }
   void set_end(std::size_t i, TimeNs t) { end_[i] = t; }
-  void set_resource(std::size_t i, std::string_view r) { resource_[i] = intern(r); }
-  void set_variant(std::size_t i, std::string_view v) { variant_[i] = intern(v); }
   void set_module(std::size_t i, std::string_view m) { module_[i] = intern(m); }
   void set_label(std::size_t i, std::string_view l) { label_[i] = intern(l); }
-  void set_edge(std::size_t i, graph::EdgeId e) { edge_[i] = e; }
   void erase_item(std::size_t i);
   /// Removes every row whose materialized view satisfies `pred`.
   void erase_items_if(const std::function<bool(const ScheduledItem&)>& pred);

@@ -49,10 +49,6 @@ class Q15 {
   }
   friend constexpr Q15 operator-(Q15 a) { return saturate(-static_cast<std::int32_t>(a.raw_)); }
 
-  friend constexpr bool operator==(Q15 a, Q15 b) { return a.raw_ == b.raw_; }
-  friend constexpr bool operator!=(Q15 a, Q15 b) { return a.raw_ != b.raw_; }
-  friend constexpr bool operator<(Q15 a, Q15 b) { return a.raw_ < b.raw_; }
-
  private:
   static constexpr Q15 saturate(std::int32_t v) {
     if (v > 32767) v = 32767;
@@ -68,12 +64,9 @@ struct CQ15 {
   Q15 re;
   Q15 im;
 
-  friend constexpr CQ15 operator+(CQ15 a, CQ15 b) { return {a.re + b.re, a.im + b.im}; }
-  friend constexpr CQ15 operator-(CQ15 a, CQ15 b) { return {a.re - b.re, a.im - b.im}; }
   friend constexpr CQ15 operator*(CQ15 a, CQ15 b) {
     return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
   }
-  friend constexpr bool operator==(CQ15 a, CQ15 b) { return a.re == b.re && a.im == b.im; }
 };
 
 }  // namespace pdr::dsp

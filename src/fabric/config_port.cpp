@@ -16,8 +16,8 @@ const char* port_kind_name(PortKind kind) {
   return "?";
 }
 
-ConfigPort::ConfigPort(PortKind kind, PortTiming timing, ConfigMemory& memory)
-    : kind_(kind), timing_(timing), memory_(memory) {
+ConfigPort::ConfigPort(PortTiming timing, ConfigMemory& memory)
+    : timing_(timing), memory_(memory) {
   PDR_CHECK(timing_.width_bits > 0 && timing_.clock_hz > 0, "ConfigPort", "invalid timing");
 }
 

@@ -44,15 +44,12 @@ struct LoadReport {
 
 class ConfigPort {
  public:
-  ConfigPort(PortKind kind, PortTiming timing, ConfigMemory& memory);
+  ConfigPort(PortTiming timing, ConfigMemory& memory);
 
   /// Default datasheet-flavoured timings per port kind:
   /// ICAP 8 bit @ 66 MHz, SelectMAP 8 bit @ 50 MHz, JTAG 1 bit @ 33 MHz.
   static PortTiming default_timing(PortKind kind);
 
-  PortKind kind() const { return kind_; }
-  const char* name() const { return port_kind_name(kind_); }
-  const PortTiming& timing() const { return timing_; }
 
   /// Pure timing model: how long feeding `bytes` through this port takes.
   TimeNs transfer_time(Bytes bytes) const;
@@ -85,7 +82,6 @@ class ConfigPort {
   [[noreturn]] void abort_load(std::span<const std::uint8_t> stream,
                                const std::string& module_tag, double fraction);
 
-  PortKind kind_;
   PortTiming timing_;
   ConfigMemory& memory_;
   FaultHook fault_hook_;

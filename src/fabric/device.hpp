@@ -42,7 +42,6 @@ struct DeviceModel {
 
   int total_slices() const { return clb_rows * clb_cols * slices_per_clb; }
   int total_luts() const { return total_slices() * luts_per_slice; }
-  int total_ffs() const { return total_slices() * ffs_per_slice; }
   int total_brams() const { return bram_cols * brams_per_col; }
   int total_mult18() const { return bram_cols * brams_per_col; }
   int total_tbufs() const { return clb_rows * clb_cols * 2; }  ///< 2 TBUFs per CLB

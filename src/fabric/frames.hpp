@@ -42,8 +42,6 @@ class FrameMap {
  public:
   explicit FrameMap(const DeviceModel& device);
 
-  const DeviceModel& device() const { return device_; }
-
   int total_frames() const { return device_.total_frames(); }
 
   /// Frames in one column of the given block type.

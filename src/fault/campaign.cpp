@@ -51,28 +51,45 @@ std::string CampaignReport::to_string() const {
   return out;
 }
 
+void check_spec_names(const FaultSpec& spec, const synth::DesignBundle& bundle,
+                      const char* where) {
+  std::set<std::string> known_modules;
+  for (const auto& [region, variants] : bundle.dynamic_variants)
+    for (const auto& v : variants) known_modules.insert(v.name);
+  for (const auto& s : spec.seus)
+    PDR_CHECK(bundle.dynamic_variants.count(s.region) > 0, where,
+              "fault spec names unknown region '" + s.region + "'");
+  for (const auto& f : spec.fetch_faults)
+    PDR_CHECK(known_modules.count(f.module) > 0, where,
+              "fault spec names unknown module '" + f.module + "'");
+  for (const auto& d : spec.store_damages)
+    PDR_CHECK(known_modules.count(d.module) > 0, where,
+              "fault spec names unknown module '" + d.module + "'");
+  for (const auto& r : spec.store_repairs)
+    PDR_CHECK(known_modules.count(r.module) > 0, where,
+              "fault spec names unknown module '" + r.module + "'");
+}
+
+std::string safe_module(const synth::DesignBundle& bundle, const std::string& region,
+                        const FaultSpec* spec) {
+  const std::vector<std::string> names = bundle.variant_names(region);
+  for (const auto& name : names) {
+    bool targeted = false;
+    if (spec != nullptr) {
+      targeted = spec->find_fetch_fault(name) != nullptr;
+      for (const auto& d : spec->store_damages) targeted = targeted || d.module == name;
+    }
+    if (!targeted) return name;
+  }
+  return names.front();
+}
+
 CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,
                             const FaultSpec& spec, const CampaignConfig& config,
                             obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   PDR_CHECK(!bundle.dynamic_variants.empty(), "run_campaign", "bundle has no dynamic regions");
 
-  // Validate every name the spec mentions against the bundle up front, so
-  // a typo in a .faults file fails loudly instead of injecting nothing.
-  std::set<std::string> known_modules;
-  for (const auto& [region, variants] : bundle.dynamic_variants)
-    for (const auto& v : variants) known_modules.insert(v.name);
-  for (const auto& s : spec.seus)
-    PDR_CHECK(bundle.dynamic_variants.count(s.region) > 0, "run_campaign",
-              "fault spec names unknown region '" + s.region + "'");
-  for (const auto& f : spec.fetch_faults)
-    PDR_CHECK(known_modules.count(f.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + f.module + "'");
-  for (const auto& d : spec.store_damages)
-    PDR_CHECK(known_modules.count(d.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + d.module + "'");
-  for (const auto& r : spec.store_repairs)
-    PDR_CHECK(known_modules.count(r.module) > 0, "run_campaign",
-              "fault spec names unknown module '" + r.module + "'");
+  check_spec_names(spec, bundle, "run_campaign");
 
   FaultInjector injector(spec, config.seed);
   CampaignReport report;
@@ -95,20 +112,9 @@ CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamSto
   rtr::ReconfigManager manager(bundle, manager_config, store, policy);
   manager.set_observability(tracer, metrics);
 
-  // Safe module per region: the first variant the spec never targets with
-  // a permanent store damage or a fetch fault — the image we can trust.
   std::map<std::string, std::string> safe_of;
   for (const auto& region : regions) {
-    const auto& names = variants_of.at(region);
-    std::string safe = names.front();
-    for (const auto& name : names) {
-      bool targeted = spec.find_fetch_fault(name) != nullptr;
-      for (const auto& d : spec.store_damages) targeted = targeted || d.module == name;
-      if (!targeted) {
-        safe = name;
-        break;
-      }
-    }
+    const std::string safe = safe_module(bundle, region, &spec);
     safe_of[region] = safe;
     manager.set_safe_module(region, safe);
     // Initial bring-up happens before the hooks arm: the full-device

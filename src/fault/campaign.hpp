@@ -74,6 +74,18 @@ struct CampaignReport {
   std::string to_string() const;
 };
 
+/// Throws pdr::Error, raised as `where`, unless every region and module
+/// the spec names exists in the bundle, so a typo in a .faults file fails
+/// loudly instead of injecting nothing.
+void check_spec_names(const FaultSpec& spec, const synth::DesignBundle& bundle,
+                      const char* where);
+
+/// The image a region can trust: its first variant that `spec` never
+/// targets with a fetch fault or a permanent store damage (the first
+/// variant when all are targeted, or when `spec` is null).
+std::string safe_module(const synth::DesignBundle& bundle, const std::string& region,
+                        const FaultSpec* spec);
+
 /// Runs one campaign to the spec's horizon. Validates that every module
 /// the spec names exists in the bundle. `tracer`/`metrics` may be null.
 CampaignReport run_campaign(const synth::DesignBundle& bundle, rtr::BitstreamStore& store,

@@ -31,7 +31,6 @@ class FaultInjector {
   /// `seed` == 0 means "use the spec's own seed".
   FaultInjector(FaultSpec spec, std::uint64_t seed = 0);
 
-  const FaultSpec& spec() const { return spec_; }
   std::uint64_t seed() const { return seed_; }
 
   /// Poisson SEU timeline for one region over [0, spec.horizon), sorted by

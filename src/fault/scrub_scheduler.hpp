@@ -45,8 +45,6 @@ class ScrubScheduler {
   void set_on_scrub(ScrubCallback callback) { on_scrub_ = std::move(callback); }
 
   const ScrubStats& stats() const { return stats_; }
-  TimeNs period() const { return period_; }
-  Mode mode() const { return mode_; }
 
  private:
   void tick(TimeNs now);

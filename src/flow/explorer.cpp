@@ -22,11 +22,10 @@ ExplorationReport DesignSpaceExplorer::run() const {
   report.points = space_.enumerate();
   report.outcomes.resize(report.points.size());
 
-  aaa::Adequation::ReconfigCost cost = options_.reconfig_cost_fn;
-  if (!cost) {
-    const TimeNs flat = options_.reconfig_cost;
-    cost = [flat](const std::string&, const std::string&) { return flat; };
-  }
+  const TimeNs flat = options_.reconfig_cost;
+  const aaa::Adequation::ReconfigCost cost = [flat](const std::string&, const std::string&) {
+    return flat;
+  };
 
   // The static feasibility oracle: pdr::verify's interval analysis over
   // the point's schedule (with the point's own preload assumptions), or

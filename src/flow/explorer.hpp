@@ -25,10 +25,8 @@ struct ExplorerOptions {
   /// Hard ceiling on the enumerated space — a larger cross product is an
   /// explicit error, never a silent truncation.
   std::size_t max_points = 4096;
-  /// Flat reconfiguration cost…
+  /// Flat reconfiguration cost of every load.
   TimeNs reconfig_cost = 4'000'000;  // 4 ms, the paper's measured figure
-  /// …or a callback overriding it (e.g. per-variant cost from a bundle).
-  aaa::Adequation::ReconfigCost reconfig_cost_fn;
   /// Static hazard certification (pdr::verify's interval analysis) on
   /// every point's schedule before it is accepted: uncertified points are
   /// marked rejected and never simulated or scored. The prune is sound —
@@ -68,8 +66,6 @@ class DesignSpaceExplorer {
   /// Runs every design point, blocks until all finish. Throws pdr::Error
   /// when the space exceeds options.max_points.
   ExplorationReport run() const;
-
-  const aaa::ExplorationSpace& space() const { return space_; }
 
  private:
   aaa::Project project_;

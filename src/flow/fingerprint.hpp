@@ -30,13 +30,6 @@ class Fingerprint {
 
   std::uint64_t value() const { return value_; }
 
-  friend bool operator==(const Fingerprint& a, const Fingerprint& b) {
-    return a.value_ == b.value_;
-  }
-  friend bool operator<(const Fingerprint& a, const Fingerprint& b) {
-    return a.value_ < b.value_;
-  }
-
  private:
   void mix_raw(const void* data, std::size_t n);
 

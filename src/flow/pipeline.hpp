@@ -136,8 +136,6 @@ class Pipeline {
                                                               const FaultCampaignOptions& opts);
 
   const PipelineOptions& options() const { return options_; }
-  ArtifactStore& store() { return *store_; }
-  std::shared_ptr<ArtifactStore> store_ptr() const { return store_; }
 
  private:
   Fingerprint constraints_key() const;

@@ -2,13 +2,13 @@
 //
 // Both AAA graphs (the data-flow algorithm graph and the architecture
 // graph) are instances of Digraph. Vertices and edges are addressed by
-// dense integer ids that stay valid for the life of the graph (no removal
-// compaction; removed slots are tombstoned).
+// dense integer ids 0..count-1 that stay valid for the life of the graph:
+// nodes and edges are only ever added.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -29,44 +29,29 @@ class Digraph {
     V value;
     std::vector<EdgeId> out;
     std::vector<EdgeId> in;
-    bool alive = true;
   };
   struct Edge {
     E value;
     NodeId from = kNoNode;
     NodeId to = kNoNode;
-    bool alive = true;
   };
 
   NodeId add_node(V value) {
-    nodes_.push_back(Node{std::move(value), {}, {}, true});
+    nodes_.push_back(Node{std::move(value), {}, {}});
     return static_cast<NodeId>(nodes_.size() - 1);
   }
 
   EdgeId add_edge(NodeId from, NodeId to, E value) {
     PDR_CHECK(valid(from) && valid(to), "Digraph::add_edge", "endpoint does not exist");
-    edges_.push_back(Edge{std::move(value), from, to, true});
+    edges_.push_back(Edge{std::move(value), from, to});
     const auto id = static_cast<EdgeId>(edges_.size() - 1);
     nodes_[from].out.push_back(id);
     nodes_[to].in.push_back(id);
     return id;
   }
 
-  /// Tombstones a node and all incident edges.
-  void remove_node(NodeId n) {
-    PDR_CHECK(valid(n), "Digraph::remove_node", "node does not exist");
-    for (EdgeId e : nodes_[n].out) edges_[e].alive = false;
-    for (EdgeId e : nodes_[n].in) edges_[e].alive = false;
-    nodes_[n].alive = false;
-  }
-
-  void remove_edge(EdgeId e) {
-    PDR_CHECK(e < edges_.size() && edges_[e].alive, "Digraph::remove_edge", "edge does not exist");
-    edges_[e].alive = false;
-  }
-
-  bool valid(NodeId n) const { return n < nodes_.size() && nodes_[n].alive; }
-  bool valid_edge(EdgeId e) const { return e < edges_.size() && edges_[e].alive; }
+  bool valid(NodeId n) const { return n < nodes_.size(); }
+  bool valid_edge(EdgeId e) const { return e < edges_.size(); }
 
   V& operator[](NodeId n) {
     PDR_CHECK(valid(n), "Digraph", "node does not exist");
@@ -94,81 +79,50 @@ class Digraph {
     return edges_[e].to;
   }
 
-  /// Live out-edges of n.
-  std::vector<EdgeId> out_edges(NodeId n) const { return live_edges(nodes_.at(n).out); }
-  /// Live in-edges of n.
-  std::vector<EdgeId> in_edges(NodeId n) const { return live_edges(nodes_.at(n).in); }
+  /// Out-edges of n, in ascending id order.
+  const std::vector<EdgeId>& out_edges(NodeId n) const { return nodes_.at(n).out; }
+  /// In-edges of n, in ascending id order.
+  const std::vector<EdgeId>& in_edges(NodeId n) const { return nodes_.at(n).in; }
 
-  // Allocation-free adjacency iteration. The vector-returning accessors
-  // above allocate a fresh vector per call, which dominates scheduler
-  // inner loops at 10^5..10^6 nodes; these visit the same live edges via
-  // a callback instead.
-  template <typename F>
-  void for_each_out_edge(NodeId n, F&& f) const {
-    for (EdgeId e : nodes_.at(n).out)
-      if (edges_[e].alive) f(e);
-  }
+  // Allocation-free adjacency iteration for scheduler inner loops.
   template <typename F>
   void for_each_in_edge(NodeId n, F&& f) const {
-    for (EdgeId e : nodes_.at(n).in)
-      if (edges_[e].alive) f(e);
+    for (EdgeId e : nodes_.at(n).in) f(e);
   }
-  /// Visits live successor node ids (duplicates if parallel edges exist).
+  /// Visits successor node ids (duplicates if parallel edges exist).
   template <typename F>
   void for_each_successor(NodeId n, F&& f) const {
-    for (EdgeId e : nodes_.at(n).out)
-      if (edges_[e].alive) f(edges_[e].to);
+    for (EdgeId e : nodes_.at(n).out) f(edges_[e].to);
   }
   template <typename F>
   void for_each_predecessor(NodeId n, F&& f) const {
-    for (EdgeId e : nodes_.at(n).in)
-      if (edges_[e].alive) f(edges_[e].from);
+    for (EdgeId e : nodes_.at(n).in) f(edges_[e].from);
   }
 
-  /// Visits every live edge as (id, from, to) in edge-id order — one
+  /// Visits every edge as (id, from, to) in edge-id order — one
   /// sequential pass over edge storage. Per-node adjacency lists hold
   /// ascending edge ids, so grouping this stream by endpoint reproduces
   /// exactly the order the per-node visitors produce; bulk builders
   /// (indegree tables, CSR flattening) use it to avoid chasing a random
   /// list per node.
   template <typename F>
-  void for_each_live_edge(F&& f) const {
-    for (EdgeId e = 0; e < edges_.size(); ++e)
-      if (edges_[e].alive) f(e, edges_[e].from, edges_[e].to);
+  void for_each_edge(F&& f) const {
+    for (EdgeId e = 0; e < edges_.size(); ++e) f(e, edges_[e].from, edges_[e].to);
   }
 
-  /// Visits every live node as (id, value) in id order — one sequential
-  /// pass over node storage, without the per-access liveness check that
-  /// operator[] performs. Bulk builders use it to snapshot value-pointer
-  /// tables for scheduler inner loops.
+  /// Visits every node as (id, value) in id order — one sequential pass
+  /// over node storage, without the per-access check that operator[]
+  /// performs. Bulk builders use it to snapshot value-pointer tables for
+  /// scheduler inner loops.
   template <typename F>
-  void for_each_live_node(F&& f) const {
-    for (NodeId n = 0; n < nodes_.size(); ++n)
-      if (nodes_[n].alive) f(n, nodes_[n].value);
+  void for_each_node(F&& f) const {
+    for (NodeId n = 0; n < nodes_.size(); ++n) f(n, nodes_[n].value);
   }
 
-  /// Live in-edge count of n, without materializing the edge list.
-  std::size_t in_degree(NodeId n) const {
-    std::size_t count = 0;
-    for (EdgeId e : nodes_.at(n).in)
-      if (edges_[e].alive) ++count;
-    return count;
-  }
-  std::size_t out_degree(NodeId n) const {
-    std::size_t count = 0;
-    for (EdgeId e : nodes_.at(n).out)
-      if (edges_[e].alive) ++count;
-    return count;
-  }
+  std::size_t in_degree(NodeId n) const { return nodes_.at(n).in.size(); }
+  std::size_t out_degree(NodeId n) const { return nodes_.at(n).out.size(); }
 
-  /// Node slots ever allocated (live + tombstoned): the bound for dense
-  /// NodeId-indexed side tables.
-  std::size_t node_capacity() const { return nodes_.size(); }
-  /// Edge slots ever allocated (live + tombstoned): the bound for dense
-  /// EdgeId-indexed side tables.
-  std::size_t edge_capacity() const { return edges_.size(); }
-
-  /// Live successor node ids of n (with duplicates if parallel edges exist).
+  /// Successor node ids of n (with duplicates if parallel edges exist).
   std::vector<NodeId> successors(NodeId n) const {
     std::vector<NodeId> out;
     out.reserve(nodes_.at(n).out.size());
@@ -182,41 +136,33 @@ class Digraph {
     return out;
   }
 
-  std::size_t node_count() const {
-    return static_cast<std::size_t>(std::count_if(nodes_.begin(), nodes_.end(), [](const Node& n) { return n.alive; }));
-  }
-  std::size_t edge_count() const {
-    return static_cast<std::size_t>(std::count_if(edges_.begin(), edges_.end(), [](const Edge& e) { return e.alive; }));
-  }
+  /// Node count: also the bound for dense NodeId-indexed side tables.
+  std::size_t node_count() const { return nodes_.size(); }
+  /// Edge count: also the bound for dense EdgeId-indexed side tables.
+  std::size_t edge_count() const { return edges_.size(); }
 
-  /// All live node ids in insertion order.
+  /// All node ids in insertion order.
   std::vector<NodeId> node_ids() const {
-    std::vector<NodeId> out;
-    for (NodeId n = 0; n < nodes_.size(); ++n)
-      if (nodes_[n].alive) out.push_back(n);
+    std::vector<NodeId> out(nodes_.size());
+    std::iota(out.begin(), out.end(), NodeId{0});
     return out;
   }
   std::vector<EdgeId> edge_ids() const {
-    std::vector<EdgeId> out;
-    for (EdgeId e = 0; e < edges_.size(); ++e)
-      if (edges_[e].alive) out.push_back(e);
+    std::vector<EdgeId> out(edges_.size());
+    std::iota(out.begin(), out.end(), EdgeId{0});
     return out;
   }
 
-  /// Kahn topological order; empty optional if the live graph has a cycle.
+  /// Kahn topological order; empty optional if the graph has a cycle.
   std::optional<std::vector<NodeId>> topological_order() const {
     // Indegrees from one sequential edge scan, not a list chase per node.
     std::vector<std::size_t> indeg(nodes_.size(), 0);
-    for_each_live_edge([&](EdgeId, NodeId, NodeId to) { ++indeg[to]; });
+    for_each_edge([&](EdgeId, NodeId, NodeId to) { ++indeg[to]; });
     std::vector<NodeId> ready;
-    std::size_t live = 0;
-    for (NodeId n = 0; n < nodes_.size(); ++n) {
-      if (!nodes_[n].alive) continue;
-      ++live;
+    for (NodeId n = 0; n < nodes_.size(); ++n)
       if (indeg[n] == 0) ready.push_back(n);
-    }
     std::vector<NodeId> order;
-    order.reserve(live);
+    order.reserve(nodes_.size());
     for (std::size_t head = 0; head < ready.size(); ++head) {
       const NodeId n = ready[head];
       order.push_back(n);
@@ -224,7 +170,7 @@ class Digraph {
         if (--indeg[s] == 0) ready.push_back(s);
       });
     }
-    if (order.size() != live) return std::nullopt;
+    if (order.size() != nodes_.size()) return std::nullopt;
     return order;
   }
 
@@ -233,7 +179,7 @@ class Digraph {
   /// Longest path length with per-node weights; requires acyclic graph.
   /// Returns per-node "distance to sink" (node weight included), i.e. the
   /// critical-path remainder used by list schedulers. `weight` is any
-  /// NodeId -> double callable, invoked once per live node (statically
+  /// NodeId -> double callable, invoked once per node (statically
   /// dispatched — a million-node graph pays no std::function indirection).
   template <typename Weight>
   std::vector<double> critical_path_remainder(const Weight& weight) const {
@@ -269,14 +215,6 @@ class Digraph {
   }
 
  private:
-  std::vector<EdgeId> live_edges(const std::vector<EdgeId>& ids) const {
-    std::vector<EdgeId> out;
-    out.reserve(ids.size());
-    for (EdgeId e : ids)
-      if (edges_[e].alive) out.push_back(e);
-    return out;
-  }
-
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
 };

@@ -16,12 +16,11 @@
 
 namespace pdr::graph {
 
-/// Live-edge indegree of every node, indexed by NodeId (dead slots 0).
+/// Indegree of every node, indexed by NodeId.
 template <typename V, typename E>
 std::vector<std::size_t> indegree_counts(const Digraph<V, E>& g) {
-  std::vector<std::size_t> indeg(g.node_capacity(), 0);
-  for (NodeId n = 0; n < indeg.size(); ++n)
-    if (g.valid(n)) indeg[n] = g.in_degree(n);
+  std::vector<std::size_t> indeg(g.node_count(), 0);
+  for (NodeId n = 0; n < indeg.size(); ++n) indeg[n] = g.in_degree(n);
   return indeg;
 }
 
@@ -41,24 +40,21 @@ class ReadyTracker {
     // scans instead of a per-node adjacency chase. Per-node out-lists
     // hold ascending edge ids, so scanning edges in id order fills each
     // CSR row in exactly the order for_each_successor would visit.
-    const std::size_t cap = g.node_capacity();
+    const std::size_t cap = g.node_count();
     indeg_.assign(cap, 0);
     completed_.assign(cap, 0);
     succ_offset_.assign(cap + 1, 0);
-    g.for_each_live_edge([&](EdgeId, NodeId from, NodeId to) {
+    g.for_each_edge([&](EdgeId, NodeId from, NodeId to) {
       ++indeg_[to];
       ++succ_offset_[from + 1];
     });
     for (std::size_t n = 0; n < cap; ++n) succ_offset_[n + 1] += succ_offset_[n];
     succ_.resize(succ_offset_[cap]);
     std::vector<std::size_t> cursor(succ_offset_.begin(), succ_offset_.end() - 1);
-    g.for_each_live_edge([&](EdgeId, NodeId from, NodeId to) { succ_[cursor[from]++] = to; });
-    for (NodeId n = 0; n < cap; ++n) {
-      if (!g.valid(n)) continue;
+    g.for_each_edge([&](EdgeId, NodeId from, NodeId to) { succ_[cursor[from]++] = to; });
+    for (NodeId n = 0; n < cap; ++n)
       if (indeg_[n] == 0) initial_.push_back(n);
-      ++remaining_;
-    }
-    total_ = remaining_;
+    remaining_ = total_ = cap;
   }
 
   /// Nodes ready before any completion (indegree 0), in id order.
@@ -135,7 +131,7 @@ class ReadyTracker {
   std::vector<NodeId> succ_;              ///< flattened successor lists
   std::vector<NodeId> initial_;
   std::size_t remaining_ = 0;
-  std::size_t total_ = 0;  ///< live nodes in the snapshot
+  std::size_t total_ = 0;  ///< nodes in the snapshot
 };
 
 }  // namespace pdr::graph

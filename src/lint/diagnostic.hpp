@@ -34,9 +34,7 @@ class Report {
   /// Appends every diagnostic of another report.
   void merge(Report other);
 
-  const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   bool empty() const { return diags_.empty(); }
-  std::size_t size() const { return diags_.size(); }
 
   std::size_t count(Severity severity) const;
   std::size_t errors() const { return count(Severity::Error); }

@@ -3,9 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "aaa/adequation.hpp"
-#include "aaa/macrocode.hpp"
-#include "aaa/project_io.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -57,34 +54,6 @@ Report check_constraints_text(const std::string& text) {
     report.add(Rule::ParseError, Severity::Error, "flow",
                std::string("Modular Design flow failed: ") + e.what(),
                "fix the constraints so every module elaborates and fits its region");
-  }
-  return report;
-}
-
-Report check_project_text(const std::string& text) {
-  aaa::Project project;
-  try {
-    project = aaa::parse_project(text);
-  } catch (const Error& e) {
-    Report report;
-    report.add(Rule::ParseError, Severity::Error, "project file",
-               std::string("parse failed: ") + e.what(), "");
-    return report;
-  }
-
-  Report report;
-  try {
-    const aaa::Adequation adequation(project.algorithm, project.architecture,
-                                     project.durations);
-    const aaa::Schedule schedule = adequation.run();
-    report.merge(check_schedule(schedule, project.algorithm, project.architecture));
-    const aaa::Executive executive =
-        aaa::generate_executive(schedule, project.algorithm, project.architecture);
-    report.merge(check_executive(executive));
-  } catch (const Error& e) {
-    report.add(Rule::ParseError, Severity::Error, "adequation",
-               std::string("adequation failed: ") + e.what(),
-               "every operation needs a feasible operator and a duration entry");
   }
   return report;
 }

@@ -1,13 +1,15 @@
 // pdr::lint — static design-rule checking for whole input files.
 //
 // Entry points for `pdrflow check` and tests: hand in the text of a
-// constraints file (§4 DSL) or a SynDEx-style project file and get back a
-// Report covering every applicable rule family:
+// constraints file (§4 DSL) and get back a Report covering every
+// applicable rule family:
 //
 //   constraints file:  constraint rules  -> Modular Design flow
 //                      -> floorplan/capacity rules over the result
-//   project file:      parse -> adequation -> schedule rules
-//                      -> synchronized executive -> executive rules
+//
+// Project files are checked by verify::check_project_text, which runs
+// these families' schedule and executive rules and, with --deep, the
+// interval certification on top.
 //
 // Parse and flow failures are reported as PDR000 diagnostics instead of
 // exceptions, so a single run always yields a complete report.
@@ -34,9 +36,5 @@ InputKind sniff_input(const std::string& text);
 /// rules, and — when the constraints are error-free — the Modular Design
 /// flow with floorplan/capacity rules over its output.
 Report check_constraints_text(const std::string& text);
-
-/// Checks a project file end to end: parse, adequation with default
-/// options, schedule rules, executive generation, executive rules.
-Report check_project_text(const std::string& text);
 
 }  // namespace pdr::lint

@@ -91,8 +91,8 @@ Report check_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmGraph& 
   // interner's unindexed append path, so text lookup cannot see them.
   constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
   const auto& g = algorithm.digraph();
-  std::vector<std::size_t> compute_of(g.node_capacity(), kNoItem);
-  std::vector<char> edge_served(g.edge_capacity(), 0);
+  std::vector<std::size_t> compute_of(g.node_count(), kNoItem);
+  std::vector<char> edge_served(g.edge_count(), 0);
   std::vector<std::pair<std::string_view, std::string_view>> transfer_pairs;
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     if (schedule.kind(i) == ItemKind::Compute) {

@@ -53,7 +53,6 @@ class MultipathChannel {
   /// per-subcarrier equalizer).
   std::vector<Cplx> frequency_response(std::size_t n_fft) const;
 
-  const std::vector<Cplx>& taps() const { return taps_; }
 
  private:
   std::vector<Cplx> taps_;

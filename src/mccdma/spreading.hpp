@@ -29,7 +29,6 @@ class Spreader {
   /// Recovers user `user`'s symbols from the chips.
   std::vector<Cplx> despread(std::span<const Cplx> chips, std::size_t user) const;
 
-  const McCdmaParams& params() const { return params_; }
 
  private:
   McCdmaParams params_;

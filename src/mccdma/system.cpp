@@ -1,7 +1,6 @@
 #include "mccdma/system.hpp"
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace pdr::mccdma {
 namespace {
@@ -140,8 +139,6 @@ SystemReport TransmitterSystem::run(std::size_t n_symbols) {
   report.mean_snr_db =
       snr_sum / static_cast<double>((n_symbols + config_.decision_interval - 1) /
                                     config_.decision_interval);
-  PDR_INFO("system") << n_symbols << " symbols, " << report.switches << " switches, stall "
-                     << to_ms(report.stall_total) << " ms";
   return report;
 }
 

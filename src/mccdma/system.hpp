@@ -89,7 +89,6 @@ class TransmitterSystem {
   SystemReport run(std::size_t n_symbols);
 
   const rtr::ReconfigManager& manager() const { return *manager_; }
-  const sim::Timeline& timeline() const { return timeline_; }
 
  private:
   const CaseStudy& cs_;

@@ -48,7 +48,6 @@ class Transmitter {
   /// Produces one OFDM symbol from caller-supplied per-user bits.
   TxSymbol make_symbol(const std::vector<std::vector<std::uint8_t>>& user_bits) const;
 
-  const McCdmaParams& params() const { return params_; }
 
  private:
   McCdmaParams params_;

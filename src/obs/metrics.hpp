@@ -93,9 +93,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const std::string& help = "");
 
-  bool contains(const std::string& name) const { return entries_.count(name) > 0; }
-  std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
 
   /// All registered names, sorted.
   std::vector<std::string> names() const;

@@ -282,7 +282,7 @@ class Planner {
         d.out_bits = std::max(d.out_bits, bits->second);
       }
     };
-    project_.algorithm.digraph().for_each_live_node(
+    project_.algorithm.digraph().for_each_node(
         [&](graph::NodeId, const aaa::Operation& node) {
           for (const auto& alt : node.alternatives) consider(alt.kind, alt.params);
           if (!node.conditioned()) consider(node.kind, node.params);
@@ -296,7 +296,7 @@ class Planner {
     std::set<std::string> kinds;
     for (aaa::NodeId n : arch.operators_of_kind(aaa::OperatorKind::FpgaStatic)) {
       const aaa::OperatorNode& op = arch.op(n);
-      project_.algorithm.digraph().for_each_live_node(
+      project_.algorithm.digraph().for_each_node(
           [&](graph::NodeId, const aaa::Operation& node) {
             const auto consider = [&](const std::string& kind, const synth::Params& params) {
               if (!project_.durations.supports(kind, op)) return;

@@ -26,7 +26,6 @@ void BitstreamStore::corrupt(const std::string& module, std::size_t byte_index,
             "byte index out of range for '" + module + "'");
   PDR_CHECK(xor_mask != 0, "BitstreamStore::corrupt", "xor mask must flip at least one bit");
   it->second[byte_index] ^= xor_mask;
-  ++corruptions_;
 }
 
 void BitstreamStore::repair(const std::string& module) {
@@ -36,7 +35,6 @@ void BitstreamStore::repair(const std::string& module) {
   const auto& golden = pristine_.at(module);
   if (it->second == golden) return;  // undamaged — nothing to restore
   it->second = golden;
-  ++repairs_;
 }
 
 bool BitstreamStore::contains(const std::string& module) const { return streams_.count(module) > 0; }

@@ -36,12 +36,6 @@ class BitstreamStore {
   /// external memory from a golden copy. No-op on an undamaged module.
   void repair(const std::string& module);
 
-  /// Number of bytes ever damaged through corrupt().
-  int corruptions() const { return corruptions_; }
-
-  /// Number of damaged images restored through repair().
-  int repairs() const { return repairs_; }
-
   bool contains(const std::string& module) const;
   std::span<const std::uint8_t> get(const std::string& module) const;
   Bytes size_of(const std::string& module) const;
@@ -49,8 +43,6 @@ class BitstreamStore {
   /// Time to stream a module's bitstream out of this memory.
   TimeNs fetch_time(const std::string& module) const;
 
-  double bandwidth_bytes_per_s() const { return bandwidth_; }
-  TimeNs access_latency() const { return latency_; }
   std::size_t count() const { return streams_.size(); }
   Bytes total_bytes() const;
 
@@ -59,8 +51,6 @@ class BitstreamStore {
   TimeNs latency_;
   std::map<std::string, std::vector<std::uint8_t>> streams_;
   std::map<std::string, std::vector<std::uint8_t>> pristine_;  ///< golden copies, first add() wins
-  int corruptions_ = 0;
-  int repairs_ = 0;
 };
 
 }  // namespace pdr::rtr

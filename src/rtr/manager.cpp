@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/strings.hpp"
 
 namespace pdr::rtr {
@@ -88,11 +87,9 @@ ReconfigManager::ReconfigManager(const synth::DesignBundle& bundle, ManagerConfi
       config_(config),
       store_(store),
       policy_(policy),
-      builder_(config.builder, config.port_kind, config.cpu_builder_bytes_per_s,
-               config.fpga_builder_bytes_per_s),
+      builder_(config.builder, config.cpu_builder_bytes_per_s, config.fpga_builder_bytes_per_s),
       memory_(bundle.device),
-      port_(config.port_kind,
-            config.port_timing.value_or(fabric::ConfigPort::default_timing(config.port_kind)),
+      port_(config.port_timing.value_or(fabric::ConfigPort::default_timing(config.port_kind)),
             memory_),
       cache_(config.cache_capacity),
       recovery_rng_(config.recovery.jitter_seed) {
@@ -230,8 +227,6 @@ void ReconfigManager::set_health(const std::string& region, RegionHealth health,
   if (tracer_ != nullptr)
     tracer_->instant(kHealthTrack, region + " -> " + region_health_name(health), "health", now,
                      {{"region", region}, {"why", why}});
-  PDR_DEBUG("rtr") << "health " << region << " -> " << region_health_name(health) << " (" << why
-                   << ")";
 }
 
 RegionHealth ReconfigManager::health(const std::string& region) const {
@@ -457,8 +452,6 @@ RequestOutcome ReconfigManager::request(const std::string& region, const std::st
                         "demand stall exposed to the application")
         .observe(static_cast<double>(out.stall));
   note_port_load(region, module, "load", latency_paid, out.ready_at);
-  PDR_DEBUG("rtr") << request_kind_name(out.kind) << " " << module << " -> " << region
-                   << " ready at " << to_us(out.ready_at) << " us";
   return out;
 }
 
@@ -493,8 +486,6 @@ std::optional<TimeNs> ReconfigManager::announce(const std::string& region,
   if (tracer_ != nullptr)
     tracer_->span(kStagingTrack, "stage " + module + " for " + region, "staging", start, ready,
                   {{"module", module}, {"region", region}});
-  PDR_DEBUG("rtr") << "staging " << module << " for " << region << ", ready at " << to_us(ready)
-                   << " us";
   return ready;
 }
 

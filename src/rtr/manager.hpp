@@ -267,8 +267,6 @@ class ReconfigManager {
   void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   const ManagerStats& stats() const { return stats_; }
-  const fabric::ConfigMemory& memory() const { return memory_; }
-  const fabric::ConfigPort& port() const { return port_; }
   /// Mutable fabric access for fault injection (SEU flips, port hooks).
   fabric::ConfigMemory& memory() { return memory_; }
   fabric::ConfigPort& port() { return port_; }

@@ -4,41 +4,6 @@
 
 namespace pdr::rtr {
 
-void ScheduleLookahead::feed(const std::string& region, const std::vector<std::string>& upcoming) {
-  auto& q = queue_[region];
-  q.insert(q.end(), upcoming.begin(), upcoming.end());
-}
-
-std::optional<std::string> ScheduleLookahead::predict(const std::string& region,
-                                                      const std::string& current) {
-  const auto it = queue_.find(region);
-  if (it == queue_.end()) return std::nullopt;
-  std::size_t h = head_[region];
-  // Skip entries equal to what is already resident; the next *different*
-  // module is the one worth prefetching.
-  while (h < it->second.size() && it->second[h] == current) ++h;
-  if (h >= it->second.size()) return std::nullopt;
-  count_event("predictions");
-  return it->second[h];
-}
-
-void ScheduleLookahead::observe(const std::string& region, const std::string& module) {
-  count_event("observations");
-  const auto it = queue_.find(region);
-  if (it == queue_.end()) return;
-  std::size_t& h = head_[region];
-  // Advance past this demand if it matches the known sequence.
-  if (h < it->second.size() && it->second[h] == module) ++h;
-}
-
-std::size_t ScheduleLookahead::pending(const std::string& region) const {
-  const auto it = queue_.find(region);
-  if (it == queue_.end()) return 0;
-  const auto hit = head_.find(region);
-  const std::size_t h = hit == head_.end() ? 0 : hit->second;
-  return it->second.size() - h;
-}
-
 HistoryPredictor::HistoryPredictor(const aaa::ConstraintSet& constraints) {
   for (const auto& [a, b] : constraints.relations) counts_[{a, b}] += 1;
 }

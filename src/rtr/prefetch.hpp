@@ -4,10 +4,13 @@
 // minimize reconfiguration latency of runtime reconfiguration."
 // (abstract). Three policies are provided and benchmarked:
 //
-//  - NonePrefetch: on-demand loading only (the baseline).
-//  - ScheduleLookahead: the adequation schedule (or any known request
-//    sequence) tells the manager which module each region needs next;
-//    prefetch it the moment the port and region are free.
+//  - NonePrefetch: on-demand loading only (the baseline); the manager
+//    ignores announcements.
+//  - ScheduleLookahead ("schedule"): stage on announce. The application
+//    driver, following the static schedule, tells the manager which
+//    module a region needs next (ReconfigManager::announce), and the
+//    manager stages it as soon as the port is free. The policy itself
+//    never predicts.
 //  - HistoryPredictor: first-order Markov predictor over the observed
 //    module sequence per region, optionally seeded by the constraints
 //    file's `relation a then b` hints.
@@ -17,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "aaa/constraints.hpp"
 #include "obs/metrics.hpp"
@@ -62,22 +64,15 @@ class NonePrefetch final : public PrefetchPolicy {
   const char* name() const override { return "none"; }
 };
 
-/// Follows a known future request sequence per region (fed by the static
-/// schedule or by the application driver).
+/// Stage on announce: prefetches only what the driver announces, never
+/// predicts on its own.
 class ScheduleLookahead final : public PrefetchPolicy {
  public:
-  /// Appends the known upcoming demands of a region, in order.
-  void feed(const std::string& region, const std::vector<std::string>& upcoming);
-
-  std::optional<std::string> predict(const std::string& region, const std::string& current) override;
-  void observe(const std::string& region, const std::string& module) override;
+  std::optional<std::string> predict(const std::string&, const std::string&) override {
+    return std::nullopt;
+  }
+  void observe(const std::string&, const std::string&) override { count_event("observations"); }
   const char* name() const override { return "schedule"; }
-
-  std::size_t pending(const std::string& region) const;
-
- private:
-  std::map<std::string, std::vector<std::string>> queue_;
-  std::map<std::string, std::size_t> head_;
 };
 
 /// First-order Markov predictor: counts module -> next-module transitions

@@ -34,11 +34,8 @@ class ProtocolBuilder {
   /// `cpu_bytes_per_s`: software framing throughput when placed on the
   /// CPU; `fpga_bytes_per_s`: hardware builder throughput (usually above
   /// the port rate, i.e. transparent).
-  ProtocolBuilder(aaa::Placement placement, fabric::PortKind mode, double cpu_bytes_per_s,
-                  double fpga_bytes_per_s);
+  ProtocolBuilder(aaa::Placement placement, double cpu_bytes_per_s, double fpga_bytes_per_s);
 
-  aaa::Placement placement() const { return placement_; }
-  fabric::PortKind mode() const { return mode_; }
   double throughput_bytes_per_s() const;
 
   /// Validates `raw` against `device` and produces the port stream.
@@ -52,7 +49,6 @@ class ProtocolBuilder {
 
  private:
   aaa::Placement placement_;
-  fabric::PortKind mode_;
   double cpu_bytes_per_s_;
   double fpga_bytes_per_s_;
   obs::MetricsRegistry* metrics_ = nullptr;

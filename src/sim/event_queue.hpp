@@ -64,7 +64,6 @@ class EventQueue {
   std::size_t run(TimeNs until = INT64_MAX);
 
   TimeNs now() const { return now_; }
-  bool empty() const { return queue_.empty(); }
   std::size_t pending() const { return queue_.size(); }
 
  private:

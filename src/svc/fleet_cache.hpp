@@ -69,7 +69,6 @@ class FleetCache {
   /// the capacity. Returns the evicted names in eviction order.
   std::vector<std::string> sweep();
 
-  Bytes capacity() const { return capacity_; }
   Stats stats() const;
 
  private:

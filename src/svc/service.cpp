@@ -1,13 +1,12 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <set>
-#include <thread>
 
+#include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "rtr/prefetch.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace pdr::svc {
@@ -192,21 +191,7 @@ FleetService::~FleetService() = default;
 
 void FleetService::arm_faults(const fault::FaultSpec& spec) {
   PDR_CHECK(!ran_, "FleetService::arm_faults", "service already ran");
-  std::set<std::string> known_modules;
-  for (const auto& [region, variants] : bundle_.dynamic_variants)
-    for (const auto& v : variants) known_modules.insert(v.name);
-  for (const auto& s : spec.seus)
-    PDR_CHECK(bundle_.dynamic_variants.count(s.region) > 0, "FleetService::arm_faults",
-              "fault spec names unknown region '" + s.region + "'");
-  for (const auto& f : spec.fetch_faults)
-    PDR_CHECK(known_modules.count(f.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + f.module + "'");
-  for (const auto& d : spec.store_damages)
-    PDR_CHECK(known_modules.count(d.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + d.module + "'");
-  for (const auto& r : spec.store_repairs)
-    PDR_CHECK(known_modules.count(r.module) > 0, "FleetService::arm_faults",
-              "fault spec names unknown module '" + r.module + "'");
+  fault::check_spec_names(spec, bundle_, "FleetService::arm_faults");
   spec_ = spec;
 }
 
@@ -225,22 +210,7 @@ const std::string& FleetService::safe_module_of(const std::string& region) const
 void FleetService::build_fleet(int devices) {
   for (const auto& [region, variants] : bundle_.dynamic_variants) {
     frames_of_[region] = bundle_.floorplan.region_frames(region);
-    // Safe module: the first variant the armed spec never targets with a
-    // permanent store damage or a fetch fault (campaign idiom).
-    const auto names = bundle_.variant_names(region);
-    std::string safe = names.front();
-    for (const auto& name : names) {
-      bool targeted = false;
-      if (spec_.has_value()) {
-        targeted = spec_->find_fetch_fault(name) != nullptr;
-        for (const auto& d : spec_->store_damages) targeted = targeted || d.module == name;
-      }
-      if (!targeted) {
-        safe = name;
-        break;
-      }
-    }
-    safe_of_[region] = safe;
+    safe_of_[region] = fault::safe_module(bundle_, region, spec_ ? &*spec_ : nullptr);
   }
 
   const std::uint64_t base_seed =
@@ -566,25 +536,8 @@ ServiceReport FleetService::run(const RequestLog& log) {
     // Parallel drain phase: workers touch only device-owned state plus
     // the thread-safe fleet cache.
     if (!queues_empty()) {
-      const int workers =
-          std::min(config_.jobs, static_cast<int>(devices_.size()));
-      if (workers <= 1) {
-        for (auto& dev : devices_) drain_device(*dev, now, tick_end);
-      } else {
-        std::atomic<std::size_t> cursor{0};
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w) {
-          pool.emplace_back([this, &cursor, now, tick_end] {
-            while (true) {
-              const std::size_t i = cursor.fetch_add(1);
-              if (i >= devices_.size()) return;
-              drain_device(*devices_[i], now, tick_end);
-            }
-          });
-        }
-        for (auto& t : pool) t.join();
-      }
+      util::parallel_for(config_.jobs, devices_.size(),
+                         [&](std::size_t i) { drain_device(*devices_[i], now, tick_end); });
     }
 
     // Serial collection phase: enforce the cache bound; eviction order is

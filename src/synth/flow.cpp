@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace pdr::synth {
 namespace {
@@ -197,8 +195,6 @@ DesignBundle ModularDesignFlow::run() {
     metrics_->gauge("flow.last_run_us")
         .set(report.elaborate_us + report.map_us + report.place_us + report.bitgen_us);
   }
-  PDR_INFO("flow") << "built " << report.modules << " modules, "
-                   << human_bytes(report.total_bitstream_bytes) << " of bitstreams";
   return bundle;
 }
 

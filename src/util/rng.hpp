@@ -20,7 +20,6 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
 
   result_type operator()();

@@ -27,10 +27,6 @@ class Table {
   /// Doubles are rendered with `decimals` digits after the point.
   Table& add(double v, int decimals = 2);
 
-  std::size_t rows() const { return rows_.size(); }
-  std::size_t columns() const { return header_.size(); }
-  const std::vector<std::string>& header() const { return header_; }
-  const std::vector<std::string>& at(std::size_t r) const { return rows_.at(r); }
 
   /// Markdown-style rendering with aligned pipes.
   std::string to_markdown() const;

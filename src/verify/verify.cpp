@@ -107,7 +107,7 @@ struct Analyzer {
 
   void group() {
     per_resource.assign(schedule.symbols.size(), {});
-    compute_of.assign(algorithm.digraph().node_capacity(), kNoItem);
+    compute_of.assign(algorithm.digraph().node_count(), kNoItem);
     for (std::size_t i = 0; i < schedule.size(); ++i) {
       per_resource[schedule.resource_sym(i)].push_back(i);
       if (schedule.kind(i) == ItemKind::Reconfig) reconfigs.push_back(i);
@@ -401,7 +401,7 @@ Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmG
   return std::move(analyzer.cert);
 }
 
-lint::Report deep_check_text(const std::string& text) {
+lint::Report check_project_text(const std::string& text, bool deep) {
   aaa::Project project;
   try {
     project = aaa::parse_project(text);
@@ -418,8 +418,9 @@ lint::Report deep_check_text(const std::string& text) {
                                      project.durations);
     const aaa::Schedule schedule = adequation.run();
     report.merge(lint::check_schedule(schedule, project.algorithm, project.architecture));
-    report.merge(
-        verify_schedule(schedule, project.algorithm, project.architecture).to_report());
+    if (deep)
+      report.merge(
+          verify_schedule(schedule, project.algorithm, project.architecture).to_report());
     const aaa::Executive executive =
         aaa::generate_executive(schedule, project.algorithm, project.architecture);
     report.merge(lint::check_executive(executive));

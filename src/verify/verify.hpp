@@ -132,9 +132,10 @@ Certificate verify_schedule(const aaa::Schedule& schedule, const aaa::AlgorithmG
                             const aaa::ArchitectureGraph& architecture,
                             const VerifyOptions& options = {});
 
-/// `pdrflow check --deep` on a project file: the plain lint families plus
-/// interval certification of the default-options schedule. Constraints
-/// files have no schedule; `check --deep` lints them as usual.
-lint::Report deep_check_text(const std::string& text);
+/// `pdrflow check` on a project file: parse, adequation with default
+/// options, schedule rules, executive generation, executive rules; `deep`
+/// (`check --deep`) adds the interval certification of the schedule.
+/// Parse and adequation failures are PDR000 diagnostics, not exceptions.
+lint::Report check_project_text(const std::string& text, bool deep);
 
 }  // namespace pdr::verify

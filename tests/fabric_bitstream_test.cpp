@@ -203,7 +203,7 @@ TEST(ConfigPort, DefaultTimings) {
 TEST(ConfigPort, TransferTimeMatchesBandwidth) {
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::SelectMap, PortTiming{8, 50e6, 0}, mem);
+  ConfigPort port(PortTiming{8, 50e6, 0}, mem);
   // 50 MB/s -> 1000 bytes = 20 us.
   EXPECT_EQ(port.transfer_time(1000), 20000);
   EXPECT_DOUBLE_EQ(port.bandwidth_bytes_per_s(), 50e6);
@@ -212,15 +212,15 @@ TEST(ConfigPort, TransferTimeMatchesBandwidth) {
 TEST(ConfigPort, JtagIsSerial) {
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
-  ConfigPort jtag(PortKind::Jtag, PortTiming{1, 33e6, 0}, mem);
-  ConfigPort icap(PortKind::Icap, PortTiming{8, 66e6, 0}, mem);
+  ConfigPort jtag(PortTiming{1, 33e6, 0}, mem);
+  ConfigPort icap(PortTiming{8, 66e6, 0}, mem);
   EXPECT_GT(jtag.transfer_time(1000), 8 * icap.transfer_time(1000) / 2);
 }
 
 TEST(ConfigPort, LoadAppliesFramesAndAccounts) {
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   const auto report = port.load(small_stream(d), "mod_b");
   EXPECT_EQ(report.frames_written, 1);
   EXPECT_GT(report.duration, 0);
@@ -232,7 +232,7 @@ TEST(ConfigPort, LoadAppliesFramesAndAccounts) {
 TEST(ConfigPort, LoadRejectsCorruptStream) {
   const DeviceModel d = xc2v2000();
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   auto stream = small_stream(d);
   stream[20] ^= 0xff;
   EXPECT_THROW(port.load(stream, "bad"), pdr::Error);
@@ -252,7 +252,7 @@ TEST(ConfigPort, FaultHookAbortsMidStream) {
   const auto stream = synth::generate_partial_bitstream(d, frames, 11);
 
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   int calls = 0;
   port.set_fault_hook([&calls](Bytes, const std::string&) {
     return ++calls == 1 ? 0.6 : -1.0;
@@ -284,7 +284,7 @@ TEST(Mfwr, UniformBitstreamLoadsAllFrames) {
   const auto stream = synth::generate_uniform_bitstream(d, frames, 0x00);
 
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   const auto report = port.load(stream, "blank");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
   EXPECT_TRUE(mem.region_owned_by(frames, "blank"));
@@ -308,7 +308,7 @@ TEST(Mfwr, RepeatsArbitraryFill) {
   const FrameMap map(d);
   const auto frames = map.clb_column_frames(3);
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   port.load(synth::generate_uniform_bitstream(d, frames, 0x5a), "fill");
   EXPECT_EQ(mem.read_frame(frames[5])[100], 0x5a);
 }
@@ -358,7 +358,7 @@ TEST(Bitgen, PartialBitstreamRoundTripsThroughPort) {
   const auto stream = synth::generate_partial_bitstream(d, frames, 0xdeadbeef);
 
   ConfigMemory mem(d);
-  ConfigPort port(PortKind::Icap, ConfigPort::default_timing(PortKind::Icap), mem);
+  ConfigPort port(ConfigPort::default_timing(PortKind::Icap), mem);
   const auto report = port.load(stream, "op_dyn");
   EXPECT_EQ(report.frames_written, static_cast<int>(frames.size()));
   EXPECT_TRUE(mem.region_owned_by(frames, "op_dyn"));

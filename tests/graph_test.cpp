@@ -53,23 +53,6 @@ TEST(Digraph, SuccessorsPredecessors) {
   EXPECT_TRUE(g.predecessors(0).empty());
 }
 
-TEST(Digraph, RemoveNodeTombstonesEdges) {
-  G g = diamond();
-  g.remove_node(1);
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.successors(0).size(), 1u);
-  EXPECT_EQ(g.predecessors(3).size(), 1u);
-  EXPECT_THROW(g[1], Error);
-}
-
-TEST(Digraph, RemoveEdge) {
-  G g = diamond();
-  const auto edges = g.out_edges(0);
-  g.remove_edge(edges[0]);
-  EXPECT_EQ(g.successors(0).size(), 1u);
-  EXPECT_EQ(g.edge_count(), 3u);
-}
-
 TEST(Digraph, AddEdgeToMissingNodeThrows) {
   G g;
   const NodeId a = g.add_node(0);
@@ -100,14 +83,14 @@ TEST(Digraph, CycleHasNoTopologicalOrder) {
   EXPECT_FALSE(g.is_acyclic());
 }
 
-TEST(Digraph, RemovingEdgeBreaksCycle) {
+TEST(Digraph, BackEdgeClosesCycle) {
   G g;
   const NodeId a = g.add_node(0);
   const NodeId b = g.add_node(1);
   g.add_edge(a, b, 0);
-  const EdgeId back = g.add_edge(b, a, 0);
-  g.remove_edge(back);
   EXPECT_TRUE(g.is_acyclic());
+  g.add_edge(b, a, 0);
+  EXPECT_FALSE(g.is_acyclic());
 }
 
 TEST(Digraph, CriticalPathRemainder) {
@@ -134,14 +117,6 @@ TEST(Digraph, ReachableFrom) {
   const auto reach = g.reachable_from(0);
   EXPECT_EQ(reach.size(), 3u);
   EXPECT_TRUE(g.reachable_from(3).empty());
-}
-
-TEST(Digraph, NodeIdsSkipTombstones) {
-  G g = diamond();
-  g.remove_node(2);
-  const auto ids = g.node_ids();
-  EXPECT_EQ(ids.size(), 3u);
-  EXPECT_TRUE(std::find(ids.begin(), ids.end(), 2u) == ids.end());
 }
 
 /// Property: random DAGs (edges only forward) always topo-sort, and every

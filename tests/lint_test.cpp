@@ -21,6 +21,7 @@
 #include "lint/lint.hpp"
 #include "synth/flow.hpp"
 #include "util/error.hpp"
+#include "verify/verify.hpp"
 
 namespace pdr::lint {
 namespace {
@@ -36,7 +37,7 @@ std::string read_file(const std::filesystem::path& path) {
 // Checks a file as the kind its extension names, as `pdrflow check` does.
 Report check_file(const std::filesystem::path& path) {
   const std::string text = read_file(path);
-  return path.extension() == ".project" ? check_project_text(text)
+  return path.extension() == ".project" ? verify::check_project_text(text, /*deep=*/false)
                                         : check_constraints_text(text);
 }
 
@@ -70,6 +71,10 @@ struct FixtureCase {
   const char* file;
   Rule rule;
 };
+
+// Names the case by its fixture file in ctest names, not by the bytes of
+// its pointer.
+void PrintTo(const FixtureCase& c, std::ostream* os) { *os << c.file; }
 
 class LintFixture : public ::testing::TestWithParam<FixtureCase> {};
 

@@ -134,25 +134,9 @@ TEST(Prefetch, NoneNeverPredicts) {
   EXPECT_STREQ(p.name(), "none");
 }
 
-TEST(Prefetch, ScheduleLookaheadFollowsQueue) {
-  ScheduleLookahead p;
-  p.feed("D1", {"qpsk", "qpsk", "qam16", "qpsk"});
-  // Currently qpsk resident; next different demand is qam16.
-  EXPECT_EQ(p.predict("D1", "qpsk").value(), "qam16");
-  p.observe("D1", "qpsk");
-  p.observe("D1", "qpsk");
-  EXPECT_EQ(p.predict("D1", "qpsk").value(), "qam16");
-  p.observe("D1", "qam16");
-  EXPECT_EQ(p.predict("D1", "qam16").value(), "qpsk");
-  p.observe("D1", "qpsk");
-  EXPECT_FALSE(p.predict("D1", "qpsk").has_value());  // queue exhausted
-  EXPECT_EQ(p.pending("D1"), 0u);
-}
-
 TEST(Prefetch, ScheduleLookaheadUnknownRegionEmpty) {
   ScheduleLookahead p;
   EXPECT_FALSE(p.predict("D9", "x").has_value());
-  EXPECT_EQ(p.pending("D9"), 0u);
 }
 
 TEST(Prefetch, HistoryLearnsTransitions) {
@@ -192,12 +176,12 @@ TEST(Prefetch, FactoryMatchesChoice) {
 TEST(ProtocolBuilder, ValidatesAndTimes) {
   const synth::DesignBundle bundle = test_bundle();
   const auto& stream = bundle.variant("D1", "qpsk").bitstream;
-  ProtocolBuilder fpga_builder(aaa::Placement::Fpga, fabric::PortKind::Icap, 40e6, 1e9);
+  ProtocolBuilder fpga_builder(aaa::Placement::Fpga, 40e6, 1e9);
   const BuildResult r = fpga_builder.build(bundle.device, stream);
   EXPECT_EQ(r.stream.size(), stream.size());
   EXPECT_GT(r.frames, 0);
 
-  ProtocolBuilder cpu_builder(aaa::Placement::Cpu, fabric::PortKind::SelectMap, 40e6, 1e9);
+  ProtocolBuilder cpu_builder(aaa::Placement::Cpu, 40e6, 1e9);
   EXPECT_GT(cpu_builder.build(bundle.device, stream).build_time, r.build_time);
 }
 
@@ -205,7 +189,7 @@ TEST(ProtocolBuilder, RejectsCorruptedMemory) {
   const synth::DesignBundle bundle = test_bundle();
   auto stream = bundle.variant("D1", "qpsk").bitstream;
   stream[stream.size() / 2] ^= 0x10;
-  ProtocolBuilder builder(aaa::Placement::Fpga, fabric::PortKind::Icap, 40e6, 1e9);
+  ProtocolBuilder builder(aaa::Placement::Fpga, 40e6, 1e9);
   EXPECT_THROW(builder.build(bundle.device, stream), pdr::Error);
 }
 
@@ -421,12 +405,16 @@ TEST(Manager, CacheServedDemandReportedAsCacheHit) {
 }
 
 TEST(Manager, AutoPrefetchUsesPolicyPrediction) {
-  ManagerFixture f;
-  f.policy.feed("D1", {"qpsk", "qam16"});
-  f.manager->request("D1", "qpsk", 0);
-  f.manager->auto_prefetch("D1", f.manager->port_free_at());
-  EXPECT_EQ(f.manager->stats().prefetches_issued, 1);
-  const auto outcome = f.manager->request("D1", "qam16", f.manager->port_free_at() + 1_ms);
+  const synth::DesignBundle bundle = test_bundle();
+  BitstreamStore store(50e6, 1000);
+  aaa::ConstraintSet hints;
+  hints.relations.emplace_back("qpsk", "qam16");
+  HistoryPredictor policy(hints);
+  ReconfigManager manager(bundle, ManagerConfig{}, store, policy);
+  manager.request("D1", "qpsk", 0);
+  manager.auto_prefetch("D1", manager.port_free_at());
+  EXPECT_EQ(manager.stats().prefetches_issued, 1);
+  const auto outcome = manager.request("D1", "qam16", manager.port_free_at() + 1_ms);
   EXPECT_EQ(outcome.kind, RequestKind::PrefetchHit);
 }
 

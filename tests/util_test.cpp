@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/arg_parser.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -333,6 +336,25 @@ TEST(ArgParser, ExtractLeavesUndeclaredArgvAlone) {
   const util::ArgParser args = util::ArgParser::extract("bench", a.argc, a.data(), {{"--jobs", true}});
   EXPECT_FALSE(args.has("--jobs"));
   EXPECT_EQ(a.argc, 3);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const int jobs : {1, 3}) {
+    std::vector<std::atomic<int>> hits(100);
+    util::parallel_for(jobs, hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "jobs " << jobs;
+  }
+}
+
+TEST(ParallelFor, BodyExceptionReachesTheCaller) {
+  for (const int jobs : {1, 3}) {
+    EXPECT_THROW(util::parallel_for(jobs, 10,
+                                    [](std::size_t i) {
+                                      if (i == 7) throw Error("boom");
+                                    }),
+                 Error)
+        << "jobs " << jobs;
+  }
 }
 
 }  // namespace

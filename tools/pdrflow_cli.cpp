@@ -218,7 +218,7 @@ int cmd_check(int argc, char** argv) {
   switch (check_kind(args.positional(0), text)) {
     case CheckKind::Constraints: report = lint::check_constraints_text(text); break;
     case CheckKind::Project:
-      report = args.has("--deep") ? verify::deep_check_text(text) : lint::check_project_text(text);
+      report = verify::check_project_text(text, args.has("--deep"));
       break;
     case CheckKind::Requests: report = check_request_log_against_case_study(text); break;
   }
